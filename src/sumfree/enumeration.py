@@ -28,8 +28,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .core import ALLOW_EQUAL_DEFAULT
 from .errors import BudgetError
 from .intset import IntSet, coerce_bits
@@ -88,6 +86,8 @@ def count_oracle(
     classified with vectorized bit tests, one pass per additive relation
     among universe elements.
     """
+    import numpy as np  # only the oracle needs numpy; keeps it out of start-up
+
     t0 = time.perf_counter()
     ubits = _universe_bits(n, universe)
     elements = [v for v in range(1, n + 1) if (ubits >> v) & 1]
@@ -190,11 +190,16 @@ def _walk(
     m: Optional[int],
     stratify: bool,
     node_budget: int,
+    spent: int = 0,
 ) -> tuple[Counter, Optional[Counter], int]:
-    """Tally all descendants of the given states, states themselves included."""
+    """Tally all descendants of the given states, states themselves included.
+
+    `spent` nodes walked elsewhere count against node_budget; the returned
+    node count covers this walk only.
+    """
     by_size: Counter = Counter()
     strata: Optional[Counter] = Counter() if stratify else None
-    nodes = 0
+    nodes = spent
     stack = list(states)
     while stack:
         state = stack.pop()
@@ -211,7 +216,7 @@ def _walk(
             if stratify:
                 strata[(size, state[3], state[4], state[5])] += 1
         stack.extend(_children(state, n, allow_equal, m))
-    return by_size, strata, nodes
+    return by_size, strata, nodes - spent
 
 
 def _walk_task(args):
@@ -237,7 +242,8 @@ def count_sum_free(
     allow_equal : whether x + x = z disqualifies (default True).
     stratify : also tally by (ell, 2k, all-odd) low-part statistics.
     threads : worker processes; results are identical for every value.
-    node_budget : abort with BudgetError after this many tree nodes.
+    node_budget : abort with BudgetError after this many tree nodes, counted
+        over all workers.
     """
     t0 = time.perf_counter()
     if m is not None and m < 0:
@@ -269,7 +275,7 @@ def count_sum_free(
         if frontier:
             chunks = [frontier[i::threads * 4] for i in range(threads * 4)]
             tasks = [
-                (chunk, n, allow_equal, m, stratify, node_budget)
+                (chunk, n, allow_equal, m, stratify, node_budget, nodes)
                 for chunk in chunks
                 if chunk
             ]
@@ -279,6 +285,12 @@ def count_sum_free(
                     if stratify:
                         strata.update(part_strata)
                     nodes += part_nodes
+        if nodes > node_budget:
+            raise BudgetError(
+                f"search node budget exceeded ({node_budget})",
+                estimate=node_budget,
+                partial=(dict(by_size), dict(strata) if stratify else None, nodes),
+            )
 
     by_size = {s: c for s, c in sorted(by_size.items())}
     total = sum(by_size.values())

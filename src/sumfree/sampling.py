@@ -45,7 +45,7 @@ def acceptance_estimate(n: int, m: int, seed: int = 0, allow_equal: bool = ALLOW
     """Estimated probability that a uniform m-subset of {1, ..., n} is sum-free."""
     if n <= EXACT_COUNT_LIMIT:
         return count_sum_free(n, m, allow_equal=allow_equal).total / comb(n, m)
-    rng = random.Random((seed, "pilot"))
+    rng = random.Random(f"{seed}:pilot")
     hits = sum(
         1 for _ in range(PILOT_DRAWS) if is_sum_free(rng.sample(range(1, n + 1), m), allow_equal)
     )

@@ -1,5 +1,6 @@
 """Counting and enumeration of sum-free sets against independent oracles."""
 
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -93,6 +94,24 @@ def test_node_budget_error_carries_partial_progress():
     with pytest.raises(BudgetError) as err:
         count_sum_free(20, node_budget=50)
     assert err.value.partial is not None
+
+
+def test_node_budget_is_global_across_threads():
+    nodes = count_sum_free(20).nodes
+    for threads in (1, 2):
+        assert count_sum_free(20, threads=threads, node_budget=nodes).nodes == nodes
+        with pytest.raises(BudgetError):
+            count_sum_free(20, threads=threads, node_budget=nodes - 1)
+    with pytest.raises(BudgetError):
+        count_sum_free(28, threads=2, node_budget=100_000)
+
+
+def test_budget_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(BudgetError("too big", estimate=7, partial=({1: 2}, None, 3))))
+    assert (str(err), err.estimate, err.partial) == ("too big", 7, ({1: 2}, None, 3))
+    with pytest.raises(BudgetError) as info:
+        count_sum_free(28, threads=2, node_budget=1000)  # refused inside a pool worker
+    assert info.value.estimate == 1000 and info.value.partial is not None
 
 
 def test_window_counts():

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 from scipy.stats import chi2
 
+from sumfree import sampling
+from sumfree.cli import main
 from sumfree import (
     BudgetError,
     draw_sum_free,
@@ -116,3 +118,13 @@ def test_trend_extremal_regime_small_ell():
     for row in rows:
         assert row.method == "exact"
         assert row.ell_median <= 2
+
+
+def test_pilot_estimate_above_exact_limit(monkeypatch, capsys):
+    # above EXACT_COUNT_LIMIT the acceptance rate comes from a seeded pilot stream
+    monkeypatch.setattr(sampling, "PILOT_DRAWS", 2000)
+    a = sample_uniform(40, 7, 10, seed=3)
+    assert sum(a.histogram.values()) == 10
+    assert a.acceptance == sample_uniform(40, 7, 10, seed=3).acceptance > 0
+    assert main(["sample", "--n", "40", "--m", "7", "--count", "10"]) == 0
+    assert "histogram" in capsys.readouterr().out
