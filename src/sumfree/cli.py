@@ -1,14 +1,15 @@
 """Command-line front end.
 
-One subcommand per library operation; results are emitted as JSON-lines
-records (default), an aligned table, or CSV.  Big integers are rendered
-as decimal strings and exact rationals as "p/q" so records stay
-language-neutral and diff-able.  With --cache DIR, deterministic queries
-are fingerprinted over (op, params) and replayed byte-identically.
+One subcommand per library operation, declared once in COMMANDS with its
+arguments, library call and result projection.  Results are emitted as
+JSON-lines records (default), an aligned table, or CSV; big integers are
+decimal strings and exact rationals "p/q", so records stay diff-able.
+With --cache DIR a query is fingerprinted over (op, params, format) and a
+hit is replayed byte-identically without running the query.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.  A plain key=value config file (--config) can preset budget,
-threads, format, seed and cache; flags always win.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a bad config
+file included), 3 budget exceeded.  A key=value config file (--config)
+presets budget, threads, format, seed and cache; flags always win.
 """
 
 from __future__ import annotations
@@ -26,36 +27,14 @@ import time
 from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
-from . import __version__
-from .bounds import (
-    LogValue,
-    build_pair_graph,
-    check_binom_inequalities,
-    check_gamma_sum,
-    empirical_constant,
-    janson_quantities,
-    theorem_rhs,
-)
-from .enumeration import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_STREAM_BUDGET,
-    count_in_window,
-    count_oracle,
-    count_sum_free,
-    enumerate_sum_free,
-    stratified_counts,
-)
+from . import __version__, bounds, enumeration, partitions, sampling, sumsets, verify
+from .bounds import LogValue
 from .errors import BudgetError
 from .intset import IntSet
-from .partitions import DEFAULT_BUDGET, count_restricted, count_small_sumset_sets, p, p_star
-from .sampling import sample_uniform, structure_trend
-from .sumsets import b_set, doubling, freiman_cover, span, sumset
-from .verify import restricted_ratio_table, run_all
 
 SCHEMA_VERSION = 1
-
-CONFIG_KEYS = ("budget", "threads", "format", "seed", "cache")
 
 
 def _parse_values(text: str) -> list[int]:
@@ -67,8 +46,9 @@ def _parse_values(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_family(text: str) -> list[list[int]]:
+    """Parse "1,3|3,5" into a list of integer lists."""
+    return [_parse_values(part) for part in text.split("|")]
 
 
 def _jsonable(obj):
@@ -143,428 +123,201 @@ def _flat(v):
     return v
 
 
-# ----------------------------------------------------------------------
-# Command handlers: each returns (params, result) of JSON-able values
+class Command(NamedTuple):
+    """A subcommand; args are (flag, type[, default[, required[, help]]]), type bool a switch, a tuple choices."""
+
+    help: str
+    args: tuple
+    call: Optional[Callable] = None  # the library call: call(**params, **run)
+    project: Callable = lambda result: result  # library value -> the record's result
+    common: tuple = ()  # common flags that are also query params
+    params: Optional[Callable] = None  # rewrites params where the generic rule does not fit
+    run: dict = {}  # library keyword -> common flag, passed when the flag is set
 
 
-def _cmd_count(ns):
-    params = {
-        "n": ns.n,
-        "m": ns.m,
-        "allow_equal": not ns.distinct_only,
-        "oracle": ns.oracle,
-        "universe": ns.universe,
-    }
-    universe = _parse_values(ns.universe) if ns.universe else None
-    if ns.oracle:
-        res = count_oracle(ns.n, ns.m, universe=universe, allow_equal=not ns.distinct_only)
-    else:
-        res = count_sum_free(
-            ns.n,
-            ns.m,
-            universe=universe,
-            allow_equal=not ns.distinct_only,
-            threads=ns.threads,
-            node_budget=ns.budget or DEFAULT_NODE_BUDGET,
-        )
-    result = {
-        "total": res.total,
-        "by_size": {str(k): v for k, v in res.by_size.items()},
-        "method": res.method,
-        "nodes": res.nodes,
-    }
-    return params, result
+def _pick(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
-def _cmd_enumerate(ns):
-    params = {"n": ns.n, "m": ns.m, "allow_equal": not ns.distinct_only}
-    sets = [
-        list(s)
-        for s in enumerate_sum_free(
-            ns.n, ns.m, allow_equal=not ns.distinct_only, stream_budget=ns.budget or DEFAULT_STREAM_BUDGET
-        )
-    ]
-    return params, {"count": len(sets), "sets": sets}
+def _count(n, m, universe, allow_equal, oracle, **run):
+    universe = _parse_values(universe) if universe else None
+    if oracle:
+        return enumeration.count_oracle(n, m, universe, allow_equal)
+    return enumeration.count_sum_free(n, m, universe, allow_equal, **run)
 
 
-def _cmd_strata(ns):
-    params = {"n": ns.n, "m": ns.m, "allow_equal": not ns.distinct_only}
-    table = stratified_counts(ns.n, ns.m, allow_equal=not ns.distinct_only, threads=ns.threads)
-    rows = [
-        {"ell": ell, "k": str(k), "count": c, "odd_only": table.odd_joint.get((ell, k), 0)}
-        for (ell, k), c in sorted(table.joint.items())
-    ]
-    return params, rows
+def _restricted(ratio_table=False, **q):
+    if not ratio_table:
+        return {"count": partitions.count_restricted(**q)}
+    fields = ("k", "ell", "family", "parameter", "cap", "count")
+    return [{**dict(zip(fields, row)), "rhs_log": round(rhs, 6), "log_ratio": None if r is None else round(r, 6)}
+            for *row, rhs, r in verify.restricted_ratio_table(q["kmax"], q["ellmax"])]
 
 
-def _cmd_window(ns):
-    params = {"n": ns.n, "a": ns.a, "m": ns.m, "allow_equal": not ns.distinct_only}
-    w = count_in_window(ns.n, ns.a, ns.m, allow_equal=not ns.distinct_only, threads=ns.threads)
-    return params, {
-        "count": w.count,
-        "window_lo": w.window_lo,
-        "window_size": w.window_size,
-        "probability": str(w.probability),
-        "probability_float": float(w.probability),
-    }
+def _smallsumset(n, m, cap, delta, **budget):
+    count = partitions.count_small_sumset_sets(n, m, cap, **budget)
+    rhs = bounds.theorem_rhs("conj", N=cap, m=m, delta=delta).log
+    return {"count": count, "rhs_log": rhs, "log_ratio": None if count == 0 else LogValue.of(count).log - rhs}
 
 
-def _cmd_partitions(ns):
-    if ns.ell is None:
-        params = {"k": ns.k}
-        return params, {"p": p(ns.k)}
-    params = {"k": ns.k, "ell": ns.ell}
-    return params, {"p_star": p_star(ns.k, ns.ell)}
-
-
-def _cmd_restricted(ns):
-    if ns.ratio_table:
-        rows = restricted_ratio_table(kmax=ns.k, ellmax=ns.ell or 12)
-        out = [
-            {
-                "k": k,
-                "ell": ell,
-                "family": family,
-                "parameter": param,
-                "cap": cap,
-                "count": count,
-                "rhs_log": round(rhs_log, 6),
-                "log_ratio": None if ratio is None else round(ratio, 6),
-            }
-            for k, ell, family, param, cap, count, rhs_log, ratio in rows
-        ]
-        return {"kmax": ns.k, "ellmax": ns.ell or 12, "ratio_table": True}, out
-    params = {
-        "k": ns.k,
-        "ell": ns.ell,
-        "sumset_cap": ns.sumset_cap,
-        "universe_cap": ns.universe_cap,
-    }
-    count = count_restricted(
-        ns.k, ns.ell, sumset_cap=ns.sumset_cap, universe_cap=ns.universe_cap, budget=ns.budget or DEFAULT_BUDGET
-    )
-    return params, {"count": count}
-
-
-def _cmd_smallsumset(ns):
-    params = {"n": ns.n, "m": ns.m, "cap": ns.cap, "delta": ns.delta}
-    count = count_small_sumset_sets(ns.n, ns.m, ns.cap, budget=ns.budget or DEFAULT_BUDGET)
-    rhs = theorem_rhs("conj", N=ns.cap, m=ns.m, delta=ns.delta)
-    ratio = None if count == 0 else LogValue.of(count).log - rhs.log
-    return params, {"count": count, "rhs_log": rhs.log, "log_ratio": ratio}
-
-
-def _cmd_sumset(ns):
-    a = _parse_values(ns.a)
-    b = _parse_values(ns.b) if ns.b else None
-    params = {"a": a, "b": b}
-    ss = sumset(a, b)
-    result = {"sumset": list(ss), "size": len(ss)}
+def _sumset(a, b):
+    ss = sumsets.sumset(a, b)
+    result = {"sumset": ss, "size": len(ss)}
     if b is None:
-        result["span"] = span(a)
-        result["sumset_span"] = span(ss)
-        result["doubling"] = str(doubling(a))
-    return params, result
+        result.update(span=sumsets.span(a), sumset_span=sumsets.span(ss), doubling=sumsets.doubling(a))
+    return result
 
 
-def _cmd_freiman(ns):
-    s = _parse_values(ns.s)
-    params = {"s": s}
-    cover = freiman_cover(s)
-    ss_size = len(sumset(s))
+def _freiman(s):
+    cover, size = sumsets.freiman_cover(s), len(sumsets.sumset(s))
     if cover is None:
-        return params, {
-            "applicable": False,
-            "sumset_size": ss_size,
-            "threshold": 3 * len(s) - 4,
-        }
-    return params, {
-        "applicable": True,
-        "sumset_size": ss_size,
-        "first": cover.first,
-        "difference": cover.difference,
-        "length": cover.length,
-        "length_bound": ss_size - len(s) + 1,
-    }
+        return {"applicable": False, "sumset_size": size, "threshold": 3 * len(s) - 4}
+    return {"applicable": True, "sumset_size": size, **asdict(cover), "length_bound": size - len(s) + 1}
 
 
-def _cmd_bset(ns):
-    s = _parse_values(ns.s)
-    delta = _parse_fraction(ns.delta)
-    params = {"s": s, "delta": str(delta)}
-    members = b_set(s, delta)
-    ss_size = len(sumset(s))
-    return params, {
-        "members": list(members),
-        "size": len(members),
-        "bound": float(Fraction(ss_size) / (1 - delta)),
-    }
+def _bset(s, delta):
+    members = sumsets.b_set(s, delta)
+    return {"members": members, "size": len(members), "bound": float(len(sumsets.sumset(s)) / (1 - delta))}
 
 
-def _cmd_janson(ns):
-    family = [_parse_values(part) for part in ns.family.split("|")]
-    params = {"family": family, "ground": ns.ground, "draw": ns.draw}
-    jq = janson_quantities(family, ns.ground, ns.draw)
-    return params, {
-        "mu": jq.mu.value(),
-        "delta": jq.delta.value(),
-        "bound_log": jq.bound.log,
-        "bound": jq.bound.value(),
-    }
-
-
-def _cmd_pairgraph(ns):
-    s = _parse_values(ns.s)
-    excluded = _parse_values(ns.excluded) if ns.excluded else ()
-    params = {"n": ns.n, "s": s, "excluded": list(excluded)}
-    g = build_pair_graph(ns.n, s, excluded)
-    return params, {
-        "edge_count": g.edge_count,
-        "max_degree": g.max_degree,
-        "vertex_count": len(g.vertices),
-        "edges": [list(e) for e in g.edges],
-    }
-
-
-def _cmd_bounds(ns):
-    supplied = {
-        key: getattr(ns, attr)
-        for key, attr in (
-            ("n", "n"),
-            ("m", "m"),
-            ("C", "bigc"),
-            ("k", "k"),
-            ("ell", "ell"),
-            ("c", "c"),
-            ("delta", "delta"),
-            ("lam", "lam"),
-            ("N", "cap"),
-        )
-        if getattr(ns, attr) is not None
-    }
-    params = {"name": ns.name, **supplied}
-    lv = theorem_rhs(ns.name, **supplied)
+def _bounds(name, count=None, **supplied):
+    lv = bounds.theorem_rhs(name, **supplied)
     result = {"log": lv.log, "log2": lv.log / math.log(2)}
     if lv.log < 700:
         result["value"] = lv.value()
-    if ns.count is not None:
-        result["count"] = ns.count
-        result["count_leq_rhs"] = LogValue.of(ns.count).leq(lv)
-    return params, result
+    if count is not None:
+        result.update(count=count, count_leq_rhs=LogValue.of(count).leq(lv))
+    return result
 
 
-def _cmd_constant(ns):
-    params = {"n": ns.n, "m": ns.m, "count": ns.count}
-    return params, {"c_star": empirical_constant(ns.n, ns.m, ns.count)}
+def _inequalities(kind, a, b, c=None, d=None):
+    if None in (a, b) or (kind == "binom" and c is None):
+        raise ValueError("binom needs --a --b --c (and optional --d); gamma needs --a and --gamma-b")
+    if kind == "gamma":
+        return _pick(bounds.check_gamma_sum(a, b), "tail_sum", "gamma_bound", "constant", "passed")
+    checks = bounds.check_binom_inequalities(a, b, c, d)
+    return [{"name": x.name, "lhs_log": x.lhs.log, "rhs_log": x.rhs.log, "passed": x.passed} for x in checks]
 
 
-def _cmd_inequalities(ns):
-    if ns.kind == "binom":
-        if ns.a is None or ns.b is None or ns.c is None:
-            raise ValueError("binom needs --a --b --c (and optional --d)")
-        params = {"kind": "binom", "a": ns.a, "b": ns.b, "c": ns.c, "d": ns.d or 0}
-        checks = check_binom_inequalities(ns.a, ns.b, ns.c, ns.d or 0)
-        return params, [
-            {"name": c.name, "lhs_log": c.lhs.log, "rhs_log": c.rhs.log, "passed": c.passed}
-            for c in checks
-        ]
-    if ns.a is None or ns.gamma_b is None:
-        raise ValueError("gamma needs --a and --gamma-b")
-    params = {"kind": "gamma", "a": ns.a, "b": ns.gamma_b}
-    chk = check_gamma_sum(ns.a, ns.gamma_b)
-    return params, {
-        "tail_sum": chk.tail_sum,
-        "gamma_bound": chk.gamma_bound,
-        "constant": chk.constant,
-        "passed": chk.passed,
-    }
+VALUES = "e.g. 1,2,4 or 3:9"
+N, M, K = ("--n", int, None, True), ("--m", int, None, True), ("--k", int, None, True)
+S = ("--s", _parse_values, None, True, VALUES)
+DISTINCT = ("--distinct-only", bool, False, False, "do not count x + x = z")
+SEARCH = {"threads": "threads", "node_budget": "budget"}
 
+#: the config file's keys; each sets the default of the common flag of that name
+CONFIG_KEYS = ("budget", "threads", "format", "seed", "cache")
+COMMON = (("--format", ("records", "table", "csv"), "records"), ("--threads", int, 1), ("--budget", int),
+          ("--seed", int, 0), ("--cache", str, None, False, "cache directory for result replay"),
+          ("--config", str, None, False, "key=value config file"))
 
-def _cmd_sample(ns):
-    params = {
-        "n": ns.n,
-        "m": ns.m,
-        "count": ns.count,
-        "seed": ns.seed,
-        "workers": ns.threads,
-        "allow_equal": not ns.distinct_only,
-    }
-    rep = sample_uniform(
-        ns.n,
-        ns.m,
-        ns.count,
-        seed=ns.seed,
-        allow_equal=not ns.distinct_only,
-        workers=ns.threads,
-    )
-    hist = {f"{ell},{k},{int(odd)}": c for (ell, k, odd), c in sorted(rep.histogram.items())}
-    return params, {
-        "histogram": hist,
-        "ell_quantiles": list(rep.ell_quantiles),
-        "k_quantiles": [str(q) for q in rep.k_quantiles],
-        "acceptance": rep.acceptance,
-    }
-
-
-def _cmd_trend(ns):
-    params = {"n_list": _parse_values(ns.n_list), "m_rule": ns.m_rule, "count": ns.count, "seed": ns.seed}
-    rows = structure_trend(_parse_values(ns.n_list), ns.m_rule, ns.count, ns.seed)
-    return params, [
-        {
-            "n": r.n,
-            "m": r.m,
-            "method": r.method,
-            "ell_median": str(r.ell_median),
-            "k_median": str(r.k_median),
-            "ell_scaled": round(r.ell_scaled, 6),
-            "k_scaled": round(r.k_scaled, 6),
-            "stable": r.stable,
-        }
-        for r in rows
-    ]
-
-
-HANDLERS = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "strata": _cmd_strata,
-    "window": _cmd_window,
-    "partitions": _cmd_partitions,
-    "restricted": _cmd_restricted,
-    "smallsumset": _cmd_smallsumset,
-    "sumset": _cmd_sumset,
-    "freiman": _cmd_freiman,
-    "bset": _cmd_bset,
-    "janson": _cmd_janson,
-    "pairgraph": _cmd_pairgraph,
-    "bounds": _cmd_bounds,
-    "constant": _cmd_constant,
-    "inequalities": _cmd_inequalities,
-    "sample": _cmd_sample,
-    "trend": _cmd_trend,
+COMMANDS = {
+    "count": Command(
+        "count sum-free m-subsets of {1..n}",
+        (N, ("--m", int), ("--universe", str, None, False, "restrict to these values, e.g. 5:10"), DISTINCT,
+         ("--oracle", bool, False, False, "use the subset oracle")),
+        _count, lambda res: _pick(res, "total", "by_size", "method", "nodes"), run=SEARCH),
+    "enumerate": Command(
+        "list sum-free sets", (N, ("--m", int), DISTINCT), lambda **q: list(enumeration.enumerate_sum_free(**q)),
+        lambda sets: {"count": len(sets), "sets": sets}, run={"stream_budget": "budget"}),
+    "strata": Command(
+        "joint (ell, k) distribution of sum-free m-sets", (N, M, DISTINCT), enumeration.stratified_counts,
+        lambda t: [{"ell": ell, "k": k, "count": c, "odd_only": t.odd_joint.get((ell, k), 0)}
+                   for (ell, k), c in sorted(t.joint.items())], run=SEARCH),
+    "window": Command(
+        "sum-free count in the window {ceil(n/2)-a, ..., n}", (N, ("--a", int, None, True), M, DISTINCT),
+        enumeration.count_in_window, lambda w: {**asdict(w), "probability_float": float(w.probability)}, run=SEARCH),
+    "partitions": Command(
+        "p(k), or p*(k, ell) when --ell is given", (K, ("--ell", int)),
+        lambda k, ell=None: {"p": partitions.p(k)} if ell is None else {"p_star": partitions.p_star(k, ell)},
+        params=lambda q: q if q["ell"] is not None else {"k": q["k"]}),
+    "restricted": Command(
+        "count ell-sets summing to k with a sumset cap",
+        (K, ("--ell", int), ("--sumset-cap", int), ("--universe-cap", int),
+         ("--ratio-table", bool, False, False, "full cap/bound ratio table")), _restricted, run={"budget": "budget"},
+        params=lambda q: q if not q.pop("ratio_table") else dict(kmax=q["k"], ellmax=q["ell"] or 12, ratio_table=True)),
+    "smallsumset": Command(
+        "count m-subsets of {1..n} with |S+S| <= cap, vs 2^(dm) C(cap/2, m)",
+        (N, M, ("--cap", int, None, True), ("--delta", float, 1.0)), _smallsumset, run={"budget": "budget"}),
+    "sumset": Command(
+        "sumset of two sets (span and doubling when B omitted)",
+        (("--a", _parse_values, None, True, VALUES), ("--b", _parse_values)), _sumset),
+    "freiman": Command("progression cover in the small-doubling regime", (S,), _freiman),
+    "bset": Command(
+        "translates y with |(S+y) \\ (S+S)| <= delta |S|",
+        (S, ("--delta", Fraction, None, True, "fraction in [0,1), e.g. 1/4")), _bset),
+    "janson": Command(
+        "first/second moments of a subset family under a uniform draw",
+        (("--family", _parse_family, None, True, 'sets separated by "|", e.g. 1,3|3,5'),
+         ("--ground", int, None, True), ("--draw", int, None, True)),
+        lambda family, ground, draw: bounds.janson_quantities(family, ground, draw),
+        lambda j: {"mu": j.mu.value(), "delta": j.delta.value(), "bound_log": j.bound.log, "bound": j.bound.value()}),
+    "pairgraph": Command(
+        "forbidden-pair graph on the top half", (N, S, ("--excluded", _parse_values, "")),
+        lambda n, s, excluded: bounds.build_pair_graph(n, s, excluded),
+        lambda g: {**_pick(g, "edge_count", "max_degree", "edges"), "vertex_count": len(g.vertices)}),
+    "bounds": Command(
+        "evaluate a named closed-form bound in log domain",
+        (("--name", ("CEthm", "S+S", "S+S2", "parts", "conj"), None, True), ("--n", int), ("--m", int),
+         ("--bigc", float, None, False, "C for CEthm"), ("--k", int), ("--ell", int), ("--c", float),
+         ("--delta", float), ("--lam", float), ("--cap", float, None, False, "N for conj"),
+         ("--count", int, None, False, "also compare this count to the bound")),
+        _bounds, params=lambda q: {{"bigc": "C", "cap": "N"}.get(k, k): v for k, v in q.items() if v is not None}),
+    "constant": Command(
+        "inverted count constant C*(n, m) from an exact count", (N, M, ("--count", int, None, True)),
+        lambda n, m, count: {"c_star": bounds.empirical_constant(n, m, count)}),
+    "inequalities": Command(
+        "binomial-shift or gamma tail-sum inequality check",
+        (("--kind", ("binom", "gamma"), None, True), ("--a", int), ("--b", int), ("--c", int), ("--d", int),
+         ("--gamma-b", float)), _inequalities,
+        params=lambda q: {"kind": "gamma", "a": q["a"], "b": q["gamma_b"]} if q["kind"] == "gamma"
+        else {"kind": "binom", "a": q["a"], "b": q["b"], "c": q["c"], "d": q["d"] or 0}),
+    "sample": Command(
+        "uniform random sum-free m-sets by rejection", (N, M, ("--count", int, None, True), DISTINCT),
+        sampling.sample_uniform, common=("seed", "threads"),
+        project=lambda rep: {"histogram": {f"{ell},{k},{int(odd)}": c for (ell, k, odd), c in rep.histogram.items()},
+                             **_pick(rep, "ell_quantiles", "k_quantiles", "acceptance")}),
+    "trend": Command(
+        "scaled low-part statistics across n",
+        (("--n-list", _parse_values, None, True, "e.g. 12,16,20"),
+         ("--m-rule", str, "sqrt", False, "sqrt | half | div:K | fixed:M"), ("--count", int, 2000)),
+        sampling.structure_trend, common=("seed",),
+        project=lambda rows: [{**asdict(r), "ell_scaled": round(r.ell_scaled, 6), "k_scaled": round(r.k_scaled, 6)}
+                              for r in rows]),
+    "verify": Command("run the acceptance checks", (("--suite", ("small", "full"), "full"),)),
 }
 
+RENAMES = {"distinct_only": "allow_equal", "threads": "workers"}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def _add_arguments(parser, specs):
+    for spec in specs:
+        flag, kind, default, required, help_text = spec + (None, False, None)[len(spec) - 2 :]
+        how = {"action": "store_true"} if kind is bool else {"choices" if isinstance(kind, tuple) else "type": kind}
+        parser.add_argument(flag, default=default, required=required, help=help_text, **how)
+
+
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The parser; `config` values become the common flags' defaults, so flags win."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("records", "table", "csv"), default=None)
-    common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--cache", default=None, help="cache directory for result replay")
-    common.add_argument("--config", default=None, help="key=value config file")
-
-    parser = argparse.ArgumentParser(
-        prog="sumfree", description="Exact enumeration and bounds for sum-free integer sets"
-    )
+    _add_arguments(common, COMMON)
+    common.set_defaults(**(config or {}))
+    description = "Exact enumeration and bounds for sum-free integer sets"
+    parser = argparse.ArgumentParser(prog="sumfree", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **kwargs):
-        return sub.add_parser(name, help=help_text, parents=[common], **kwargs)
-
-    sp = add("count", "count sum-free m-subsets of {1..n}")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--universe", default=None, help="restrict to these values, e.g. 5:10")
-    sp.add_argument("--distinct-only", action="store_true", help="do not count x + x = z")
-    sp.add_argument("--oracle", action="store_true", help="use the subset oracle")
-
-    sp = add("enumerate", "list sum-free sets")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--distinct-only", action="store_true")
-
-    sp = add("strata", "joint (ell, k) distribution of sum-free m-sets")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--distinct-only", action="store_true")
-
-    sp = add("window", "sum-free count in the window {ceil(n/2)-a, ..., n}")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--distinct-only", action="store_true")
-
-    sp = add("partitions", "p(k), or p*(k, ell) when --ell is given")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--ell", type=int, default=None)
-
-    sp = add("restricted", "count ell-sets summing to k with a sumset cap")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--ell", type=int, default=None)
-    sp.add_argument("--sumset-cap", type=int, default=None)
-    sp.add_argument("--universe-cap", type=int, default=None)
-    sp.add_argument("--ratio-table", action="store_true", help="full cap/bound ratio table")
-
-    sp = add("smallsumset", "count m-subsets of {1..n} with |S+S| <= cap, vs 2^(dm) C(cap/2, m)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--cap", type=int, required=True)
-    sp.add_argument("--delta", type=float, default=1.0)
-
-    sp = add("sumset", "sumset of two sets (span and doubling when B omitted)")
-    sp.add_argument("--a", required=True, help="e.g. 1,2,4 or 3:9")
-    sp.add_argument("--b", default=None)
-
-    sp = add("freiman", "progression cover in the small-doubling regime")
-    sp.add_argument("--s", required=True)
-
-    sp = add("bset", "translates y with |(S+y) \\ (S+S)| <= delta |S|")
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--delta", required=True, help="fraction in [0,1), e.g. 1/4")
-
-    sp = add("janson", "first/second moments of a subset family under a uniform draw")
-    sp.add_argument("--family", required=True, help='sets separated by "|", e.g. 1,3|3,5')
-    sp.add_argument("--ground", type=int, required=True)
-    sp.add_argument("--draw", type=int, required=True)
-
-    sp = add("pairgraph", "forbidden-pair graph on the top half")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--excluded", default=None)
-
-    sp = add("bounds", "evaluate a named closed-form bound in log domain")
-    sp.add_argument("--name", required=True, choices=("CEthm", "S+S", "S+S2", "parts", "conj"))
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--bigc", type=float, default=None, help="C for CEthm")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--ell", type=int, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--cap", type=float, default=None, help="N for conj")
-    sp.add_argument("--count", type=int, default=None, help="also compare this count to the bound")
-
-    sp = add("constant", "inverted count constant C*(n, m) from an exact count")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
-
-    sp = add("inequalities", "binomial-shift or gamma tail-sum inequality check")
-    sp.add_argument("--kind", choices=("binom", "gamma"), required=True)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--b", type=int, default=None)
-    sp.add_argument("--c", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--gamma-b", type=float, default=None)
-
-    sp = add("sample", "uniform random sum-free m-sets by rejection")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--distinct-only", action="store_true")
-
-    sp = add("trend", "scaled low-part statistics across n")
-    sp.add_argument("--n-list", required=True, help="e.g. 12,16,20")
-    sp.add_argument("--m-rule", default="sqrt", help="sqrt | half | div:K | fixed:M")
-    sp.add_argument("--count", type=int, default=2000)
-
-    sp = add("verify", "run the acceptance checks")
-    sp.add_argument("--suite", choices=("small", "full"), default="full")
-
+    for name, command in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help, parents=[common]), command.args)
     return parser
+
+
+def _params(command: Command, ns) -> dict:
+    """The query's params: every argument by its dest, with RENAMES, then the entry's rewrite."""
+    names = [spec[0][2:].replace("-", "_") for spec in command.args] + list(command.common)
+    params = {RENAMES.get(name, name): getattr(ns, name) for name in names}
+    if "allow_equal" in params:
+        params["allow_equal"] = not params["allow_equal"]
+    return command.params(params) if command.params else params
 
 
 def _load_config(path):
@@ -572,48 +325,26 @@ def _load_config(path):
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"unknown config key: {key!r}")
-            settings[key] = value
+            if line and not line.startswith("#"):
+                key, sep, value = (part.strip() for part in line.partition("="))
+                if not sep or key not in CONFIG_KEYS:
+                    raise ValueError(f"bad config line {line!r}: want key = value with a key in {CONFIG_KEYS}")
+                settings[key] = value
     return settings
 
 
-def _apply_defaults(ns):
-    config = _load_config(ns.config) if ns.config else {}
-    if ns.format is None:
-        ns.format = config.get("format", "records")
-    if ns.threads is None:
-        ns.threads = int(config.get("threads", 1))
-    if ns.budget is None:
-        budget = config.get("budget")
-        ns.budget = int(budget) if budget is not None else None
-    if ns.seed is None:
-        ns.seed = int(config.get("seed", 0))
-    if ns.cache is None:
-        ns.cache = config.get("cache")
+def _cache_path(cache_dir: str, op: str, params: dict, fmt: str) -> str:
+    canon = json.dumps({"schema_version": SCHEMA_VERSION, "op": op, "params": params, "format": fmt}, sort_keys=True)
+    return os.path.join(cache_dir, f"{hashlib.sha256(canon.encode()).hexdigest()}.json")
 
 
-def _fingerprint(op: str, params: dict) -> str:
-    canon = json.dumps({"schema_version": SCHEMA_VERSION, "op": op, "params": params}, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _cache_path(cache_dir: str, digest: str) -> str:
-    return os.path.join(cache_dir, f"{digest}.json")
-
-
-def _cache_write(cache_dir: str, digest: str, payload: str):
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+def _cache_write(path: str, payload: str):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
-        os.replace(tmp, _cache_path(cache_dir, digest))
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -621,21 +352,31 @@ def _cache_write(cache_dir: str, digest: str, payload: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
+        if ns.config:
+            ns = build_parser(_load_config(ns.config)).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except (OSError, ValueError) as exc:
+        print(f"error: config file: {exc}", file=sys.stderr)
+        return 2
 
     if ns.command == "verify":
-        results = run_all(ns.suite)
-        return 0 if all(r.passed for r in results) else 1
+        return 0 if all(r.passed for r in verify.run_all(ns.suite)) else 1
 
-    _apply_defaults(ns)
-    handler = HANDLERS[ns.command]
+    command = COMMANDS[ns.command]
     try:
+        params = _params(command, ns)
+        record_params = _jsonable(params)
+        path = ns.cache and _cache_path(ns.cache, ns.command, record_params, ns.format)
+        if path and os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                sys.stdout.write(fh.read())
+            return 0
         t0 = time.perf_counter()
-        params, result = handler(ns)
+        run = {keyword: getattr(ns, flag) for keyword, flag in command.run.items() if getattr(ns, flag)}
+        result = command.project(command.call(**params, **run))
         elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
@@ -644,32 +385,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    params = _jsonable(params)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "op": ns.command,
-        "params": params,
-        "result": _jsonable(result),
-        "elapsed_ms": elapsed_ms,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-
-    if ns.cache:
-        digest = _fingerprint(ns.command, params)
-        path = _cache_path(ns.cache, digest)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                sys.stdout.write(fh.read())
-            return 0
-        payload_io = io.StringIO()
-        Emitter(ns.format, payload_io).emit_record(record)
-        payload = payload_io.getvalue()
-        _cache_write(ns.cache, digest, payload)
-        sys.stdout.write(payload)
-        return 0
-
-    Emitter(ns.format, sys.stdout).emit_record(record)
+    record = {"schema_version": SCHEMA_VERSION, "op": ns.command, "params": record_params, "result": _jsonable(result),
+              "elapsed_ms": elapsed_ms, "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat()}
+    out = io.StringIO() if path else sys.stdout
+    Emitter(ns.format, out).emit_record(record)
+    if path:
+        _cache_write(path, out.getvalue())
+        sys.stdout.write(out.getvalue())
     return 0
 
 

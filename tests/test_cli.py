@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sumfree import enumeration
 from sumfree.cli import main
 
 RECORD_FIELDS = {"schema_version", "op", "params", "result", "elapsed_ms", "version", "timestamp"}
@@ -58,6 +59,9 @@ def test_budget_exit_3(capsys):
     )
     assert code == 3
     assert "budget" in err
+    for argv in (["strata", "--n", "20", "--m", "5"], ["window", "--n", "30", "--a", "3", "--m", "5"]):
+        code, _, err = run(argv + ["--budget", "100"], capsys)
+        assert code == 3 and "budget" in err
 
 
 def test_cache_replay_byte_identical(tmp_path, capsys):
@@ -70,6 +74,27 @@ def test_cache_replay_byte_identical(tmp_path, capsys):
     assert json.loads(other)["result"] != json.loads(first)["result"]
 
 
+def test_cache_hit_runs_no_query(tmp_path, capsys, monkeypatch):
+    args = ["count", "--n", "16", "--cache", str(tmp_path)]
+    _, first, _ = run(args, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("library called on a cache hit")
+
+    monkeypatch.setattr(enumeration, "count_sum_free", refuse)
+    code, second, _ = run(args + ["--budget", "1"], capsys)  # a search would be refused
+    assert code == 0 and second == first
+
+
+def test_cache_key_includes_format(tmp_path, capsys):
+    args = ["partitions", "--k", "10", "--cache", str(tmp_path)]
+    _, csv_out, _ = run(args + ["--format", "csv"], capsys)
+    _, records_out, _ = run(args + ["--format", "records"], capsys)
+    assert csv_out.splitlines() == ["p", "42"]
+    assert json.loads(records_out)["result"] == {"p": 42}
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sumfree.cfg"
     cfg.write_text("# comment\nformat = table\nthreads = 1\n")
@@ -78,6 +103,10 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert not out.lstrip().startswith("{")  # table, not a record
     code, out, _ = run(["count", "--n", "10", "--config", str(cfg), "--format", "records"], capsys)
     assert out.lstrip().startswith("{")  # flag wins
+    for bad in ("colour = red\n", "threads = many\n", "no equals sign\n"):
+        cfg.write_text(bad)
+        code, _, err = run(["count", "--n", "10", "--config", str(cfg)], capsys)
+        assert code == 2 and "error" in err
 
 
 def test_sample_embeds_seed(capsys):

@@ -52,9 +52,10 @@ CASES = [
     "count --n 12 --format csv",
     "inequalities --kind binom --a 10 --b 4 --c 2 --format table",
     "inequalities --kind binom --a 10 --b 4 --c 2 --format csv",
-    # exit codes: usage errors 2, budget refusal 3
+    # exit codes: usage errors 2 (a missing config file included), budget refusal 3
     "count",
     "not-a-command",
+    "count --n 4 --config no-such-sumfree.cfg",
     "restricted --k 200 --ell 10 --sumset-cap 25 --budget 10",
 ]
 
