@@ -1,11 +1,13 @@
 """Counting and enumeration of sum-free sets against independent oracles."""
 
+import json
 import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,35 @@ def test_search_matches_oracle_restricted_universe():
             a = count_oracle(n, universe=universe, allow_equal=allow_equal)
             b = count_sum_free(n, universe=universe, allow_equal=allow_equal)
             assert a.by_size == b.by_size, (n, sorted(universe), allow_equal)
+
+
+FROZEN_PROFILES = Path(__file__).resolve().parents[1] / "perfbench" / "frozen_profiles.json"
+
+
+def test_full_profiles_match_frozen_profiles():
+    frozen = json.loads(FROZEN_PROFILES.read_text())
+    for n in range(1, 33):
+        by_size = {int(m): c for m, c in frozen[str(n)].items()}
+        assert count_sum_free(n).by_size == by_size, n
+
+
+def test_fixed_m_universe_and_window_counts_match_oracle():
+    rng = random.Random(18)
+    for allow_equal in (True, False):
+        for n in range(1, 19):
+            profile = count_oracle(n, allow_equal=allow_equal).by_size
+            for m in range(0, n + 2):
+                assert count_sum_free(n, m, allow_equal=allow_equal).total == profile.get(m, 0), (n, m)
+            universe = [v for v in range(1, n + 1) if rng.random() < 0.6]
+            profile = count_oracle(n, universe=universe, allow_equal=allow_equal).by_size
+            assert count_sum_free(n, universe=universe, allow_equal=allow_equal).by_size == profile
+            for m in range(0, len(universe) + 1):
+                res = count_sum_free(n, m, universe=universe, allow_equal=allow_equal)
+                assert res.total == profile.get(m, 0), (n, universe, m)
+            for a in range(0, (n + 1) // 2):
+                window = count_oracle(n, universe=range((n + 1) // 2 - a, n + 1), allow_equal=allow_equal).by_size
+                for m in range(0, n // 2 + a + 2):
+                    assert count_in_window(n, a, m, allow_equal=allow_equal).count == window.get(m, 0), (n, a, m)
 
 
 def test_search_fixed_m_agrees_with_profile():
