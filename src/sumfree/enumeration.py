@@ -2,27 +2,30 @@
 
 Two independent routes are provided.  count_oracle iterates all subsets of
 the universe (vectorized over bitmasks, |universe| <= 24) and filters; it
-is the ground truth the optimized search is checked against.  The search
-count_sum_free picks elements in DESCENDING order while maintaining a
-forbidden bitmap: after choosing x, any smaller y with x + y already
-chosen, or with 2y = x under the default convention, is dead.  Every node
-of that tree is itself a sum-free set and every sum-free set occurs as
-exactly one node, so a full profile by size costs one tree node per
-sum-free set.
+is the ground truth the search is checked against.  The search picks
+elements in DESCENDING order while maintaining a forbidden bitmap: after
+choosing x, any smaller y with x + y already chosen, or with 2y = x under
+the default convention, is dead.  Every node of that tree is itself a
+sum-free set and every sum-free set occurs as exactly one node.
 
-Counts are tallied by size, and optionally stratified by the low-part
-statistics (ell, k, all-odd flag), maintained incrementally during the
-descent.  Subtrees below a fixed-depth frontier are independent, so the
-search parallelizes by handing frontier states to worker processes; the
-merge is plain integer addition, so totals are identical under any
-scheduling, worker count included.
+count_sum_free does not visit those nodes one by one.  The subtree below
+a state depends only on the allowed elements and on the chosen elements
+inside allowed + allowed: a later kill y + z = c needs both y and z
+allowed, so any other chosen element never matters again.  Each distinct
+state is solved once, as the by-size generating polynomial of its
+subtree packed into one integer (one n + 2 bit field per size), and
+repeated states are read back from a memo that lives for one call.  The
+states grow about 3x for each +4 in n, the sets about 4x.
+
+Counts stratified by the low-part statistics (ell, k, all-odd flag) walk
+the tree node by node instead, maintaining the statistics incrementally
+during the descent.  Everything runs in one process.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -31,6 +34,7 @@ from typing import Iterator, Optional
 from .core import ALLOW_EQUAL_DEFAULT
 from .errors import BudgetError
 from .intset import IntSet, coerce_bits
+from .sumsets import sumsetbits
 
 DEFAULT_NODE_BUDGET = 2 * 10**8
 DEFAULT_STREAM_BUDGET = 10**6
@@ -47,9 +51,11 @@ class CountResult:
     total    -- number of matching sum-free sets
     by_size  -- size -> count (single entry when a size was requested)
     strata   -- (size, ell, 2k, odd) -> count, or None when not requested
-    method   -- "oracle" or "backtracking"
+    method   -- "oracle", "memo", or "backtracking" (the strata walk)
     elapsed  -- wall seconds
-    nodes    -- work units (tree nodes or subsets inspected)
+    nodes    -- work units: subsets inspected by the oracle; for the search,
+                the tree nodes the count covers, i.e. the sum-free sets of
+                size <= m (all of them when m is None)
     """
 
     total: int
@@ -153,74 +159,97 @@ def count_oracle(
 
 
 # ----------------------------------------------------------------------
-# Descending backtracking search
+# Descending search: memoized subtree counts, and a walk for strata
 
-_State = tuple[int, int, int, int, int, bool]  # allowed, chosen, size, ell, twice_k, odd
+def _subtree(
+    allowed: int, chosen: int, wanted: int, memo: dict, width: int, allow_equal: bool, budget: int, size: int
+) -> int:
+    """By-size generating polynomial of the search subtree below one state.
 
-
-def _children(state: _State, n: int, allow_equal: bool, m: Optional[int]) -> list[_State]:
-    allowed, chosen, size, ell, twk, odd = state
-    out = []
-    if m is not None and size >= m:
-        return out
+    Coefficient j (bits [j*width, (j+1)*width)) counts the sum-free sets of
+    the subtree with j more elements than the state, for j <= wanted.  A
+    chosen element c matters below only while c is in allowed + allowed,
+    so the caller reduces `chosen` to that sumset and memoizes on
+    (allowed, chosen, wanted).
+    """
+    acc = 0
+    below = wanted - 1
     bits = allowed
     while bits:
         x = bits.bit_length() - 1
         xbit = 1 << x
         bits ^= xbit
-        new_chosen = chosen | xbit
-        new_allowed = allowed & (xbit - 1) & ~(new_chosen >> x)
+        kept = chosen | xbit
+        # bits is allowed below x: drop y with y + x chosen, and x/2 by convention
+        child = bits & ~(kept >> x)
         if allow_equal and not x & 1:
-            new_allowed &= ~(1 << (x >> 1))
-        new_size = size + 1
-        if m is not None and new_allowed.bit_count() < m - new_size:
+            child &= ~(1 << (x >> 1))
+        k = child.bit_count()
+        r = k if k < below else below
+        if r < 2:
+            acc += 1 if r < 1 else 1 + (k << width)
             continue
-        if 2 * x <= n:
-            child = (new_allowed, new_chosen, new_size, ell + 1, twk + n - 2 * x, odd and bool(x & 1))
-        else:
-            child = (new_allowed, new_chosen, new_size, ell, twk, odd and bool(x & 1))
-        out.append(child)
-    return out
+        kept &= (1 << 2 * child.bit_length() - 1) - 1
+        if kept:
+            kept &= sumsetbits(child)
+        key = (child, kept, r)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = _subtree(child, kept, r, memo, width, allow_equal, budget, size + 1)
+        acc += v
+    value = 1 + ((acc << width) & ((1 << width * (wanted + 1)) - 1))
+    nodes = value % ((1 << width) - 1)  # the sum of the coefficients
+    if nodes > budget:
+        by_size = {size + j: c for j, c in enumerate(_coefficients(value, width)) if c}
+        raise BudgetError(
+            f"search node budget exceeded ({budget})", estimate=budget, partial=(by_size, None, nodes)
+        )
+    return value
 
 
-def _walk(
-    states: list[_State],
-    n: int,
-    allow_equal: bool,
-    m: Optional[int],
-    stratify: bool,
-    node_budget: int,
-    spent: int = 0,
-) -> tuple[Counter, Optional[Counter], int]:
-    """Tally all descendants of the given states, states themselves included.
+def _coefficients(value: int, width: int) -> list[int]:
+    field = (1 << width) - 1
+    return [(value >> width * j) & field for j in range((value.bit_length() + width - 1) // width)]
 
-    `spent` nodes walked elsewhere count against node_budget; the returned
-    node count covers this walk only.
-    """
-    by_size: Counter = Counter()
-    strata: Optional[Counter] = Counter() if stratify else None
-    nodes = spent
-    stack = list(states)
+
+def _walk(n: int, ubits: int, allow_equal: bool, m: Optional[int], node_budget: int) -> tuple[Counter, int]:
+    """Visit the search tree node by node; tally (size, ell, 2k, odd) of each matching node."""
+    strata: Counter = Counter()
+    nodes = 0
+    stack = [(ubits, 0, 0, 0, 0, True)]  # allowed, chosen, size, ell, twice_k, odd
     while stack:
-        state = stack.pop()
+        allowed, chosen, size, ell, twk, odd = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise BudgetError(
                 f"search node budget exceeded ({node_budget})",
                 estimate=node_budget,
-                partial=(dict(by_size), dict(strata) if stratify else None, nodes),
+                partial=(_sizes_of(strata), dict(strata), nodes),
             )
-        size = state[2]
         if m is None or size == m:
-            by_size[size] += 1
-            if stratify:
-                strata[(size, state[3], state[4], state[5])] += 1
-        stack.extend(_children(state, n, allow_equal, m))
-    return by_size, strata, nodes - spent
+            strata[(size, ell, twk, odd)] += 1
+            if size == m:
+                continue
+        bits = allowed
+        while bits:
+            x = bits.bit_length() - 1
+            xbit = 1 << x
+            bits ^= xbit
+            child = bits & ~((chosen | xbit) >> x)
+            if allow_equal and not x & 1:
+                child &= ~(1 << (x >> 1))
+            if m is not None and child.bit_count() < m - size - 1:
+                continue
+            low = 2 * x <= n
+            stack.append((child, chosen | xbit, size + 1, ell + low, twk + low * (n - 2 * x), odd and bool(x & 1)))
+    return strata, nodes
 
 
-def _walk_task(args):
-    return _walk(*args)
+def _sizes_of(strata: Counter) -> dict[int, int]:
+    by_size: Counter = Counter()
+    for key, c in strata.items():
+        by_size[key[0]] += c
+    return dict(by_size)
 
 
 def count_sum_free(
@@ -232,7 +261,7 @@ def count_sum_free(
     threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CountResult:
-    """Exact sum-free counts via pruned descending backtracking.
+    """Exact sum-free counts via the descending search.
 
     Parameters
     ----------
@@ -241,64 +270,36 @@ def count_sum_free(
     universe : optional restriction, a subset of {1, ..., n}.
     allow_equal : whether x + x = z disqualifies (default True).
     stratify : also tally by (ell, 2k, all-odd) low-part statistics.
-    threads : worker processes; results are identical for every value.
-    node_budget : abort with BudgetError after this many tree nodes, counted
-        over all workers.
+    threads : accepted for compatibility; the search runs in one process
+        and results are identical for every value.
+    node_budget : refuse with BudgetError when the count covers more tree
+        nodes, i.e. sum-free sets (of size <= m when m is given).
     """
     t0 = time.perf_counter()
     if m is not None and m < 0:
         raise ValueError("m must be >= 0")
     ubits = _universe_bits(n, universe)
+    method = "backtracking" if stratify else "memo"
     if m is not None and m > ubits.bit_count():
-        return CountResult(0, {}, {} if stratify else None, "backtracking", 0.0, 0)
-    root: _State = (ubits, 0, 0, 0, 0, True)
+        return CountResult(0, {}, {} if stratify else None, method, 0.0, 0)
 
-    if threads <= 1:
-        by_size, strata, nodes = _walk([root], n, allow_equal, m, stratify, node_budget)
+    strata = None
+    if stratify:
+        strata, nodes = _walk(n, ubits, allow_equal, m, node_budget)
+        strata, by_size = dict(strata), _sizes_of(strata)
     else:
-        # peel a frontier of independent subtrees, then farm them out
-        frontier = [root]
-        by_size, strata = Counter(), Counter() if stratify else None
-        nodes = 0
-        target = 64 * threads
-        while frontier and len(frontier) < target:
-            nxt: list[_State] = []
-            for st in frontier:
-                nodes += 1
-                size = st[2]
-                if m is None or size == m:
-                    by_size[size] += 1
-                    if stratify:
-                        strata[(size, st[3], st[4], st[5])] += 1
-                nxt.extend(_children(st, n, allow_equal, m))
-            frontier = nxt
-        if frontier:
-            chunks = [frontier[i::threads * 4] for i in range(threads * 4)]
-            tasks = [
-                (chunk, n, allow_equal, m, stratify, node_budget, nodes)
-                for chunk in chunks
-                if chunk
-            ]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for part_sizes, part_strata, part_nodes in pool.map(_walk_task, tasks):
-                    by_size.update(part_sizes)
-                    if stratify:
-                        strata.update(part_strata)
-                    nodes += part_nodes
-        if nodes > node_budget:
-            raise BudgetError(
-                f"search node budget exceeded ({node_budget})",
-                estimate=node_budget,
-                partial=(dict(by_size), dict(strata) if stratify else None, nodes),
-            )
+        width = n + 2  # a field holds any count <= 2^n, and so does the sum of all fields
+        wanted = ubits.bit_count() if m is None else min(m, ubits.bit_count())
+        value = _subtree(ubits, 0, wanted, {}, width, allow_equal, node_budget, 0)
+        nodes = value % ((1 << width) - 1)
+        by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c and (m is None or j == m)}
 
     by_size = {s: c for s, c in sorted(by_size.items())}
-    total = sum(by_size.values())
     return CountResult(
-        total=total,
+        total=sum(by_size.values()),
         by_size=by_size,
-        strata=dict(strata) if stratify else None,
-        method="backtracking",
+        strata=strata,
+        method=method,
         elapsed=time.perf_counter() - t0,
         nodes=nodes,
     )
@@ -375,14 +376,12 @@ def count_in_window(
     threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WindowCount:
-    """Exact sum-free m-set count in {ceil(n/2) - a, ..., n}."""
+    """Exact sum-free m-set count in {ceil(n/2) - a, ..., n}; threads changes nothing."""
     lo = (n + 1) // 2 - a
     if lo < 1:
         raise ValueError(f"window start {lo} below 1 (a too large)")
     universe = IntSet.interval(n, lo, n)
-    res = count_sum_free(
-        n, m, universe=universe, allow_equal=allow_equal, threads=threads, node_budget=node_budget
-    )
+    res = count_sum_free(n, m, universe=universe, allow_equal=allow_equal, node_budget=node_budget)
     usize = n - lo + 1
     return WindowCount(
         count=res.total,
@@ -421,10 +420,8 @@ def stratified_counts(
     threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> StratifiedCounts:
-    """Exact joint (ell, k) distribution over sum-free m-subsets of {1, ..., n}."""
-    res = count_sum_free(
-        n, m, allow_equal=allow_equal, stratify=True, threads=threads, node_budget=node_budget
-    )
+    """Exact joint (ell, k) distribution of sum-free m-subsets of {1, ..., n}; threads changes nothing."""
+    res = count_sum_free(n, m, allow_equal=allow_equal, stratify=True, node_budget=node_budget)
     table = StratifiedCounts(n=n, m=m, total=res.total)
     for (size, ell, twk, odd), c in res.strata.items():
         assert size == m

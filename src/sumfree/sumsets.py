@@ -53,8 +53,11 @@ def doubling(values) -> Fraction:
 def sumsetbits(bits: int) -> int:
     """Bitmap of S+S from the bitmap of S (0 for the empty set)."""
     out = 0
-    for a in iter_bits(bits):
-        out |= bits << a
+    rest = bits
+    while rest:
+        low = rest & -rest
+        out |= bits * low  # bits shifted up by the value of the lowest element left
+        rest ^= low
     return out
 
 

@@ -1,5 +1,6 @@
 """Counting and enumeration of sum-free sets against independent oracles."""
 
+import gc
 import json
 import pickle
 import random
@@ -86,6 +87,46 @@ def test_fixed_m_universe_and_window_counts_match_oracle():
                     assert count_in_window(n, a, m, allow_equal=allow_equal).count == window.get(m, 0), (n, a, m)
 
 
+def plain_walk_sizes(n, allow_equal):
+    """Sizes of all nodes of the descending search tree, one node per sum-free set."""
+    sizes = Counter()
+    stack = [(frozenset(), n + 1)]
+    while stack:
+        s, below = stack.pop()
+        sizes[len(s)] += 1
+        for x in range(1, below):
+            # s is sum-free and x is below all of it: only x + x and x + a can land in s
+            if not (allow_equal and 2 * x in s) and not any(x + a in s for a in s):
+                stack.append((s | {x}, x))
+    return sizes
+
+
+def test_nodes_count_the_tree_nodes_of_a_plain_walk():
+    for allow_equal in (True, False):
+        for n in range(0, 21):
+            sizes = plain_walk_sizes(n, allow_equal)
+            assert count_sum_free(n, allow_equal=allow_equal).nodes == sum(sizes.values()), n
+            for m in range(0, n + 1):
+                nodes = sum(c for size, c in sizes.items() if size <= m)
+                assert count_sum_free(n, m, allow_equal=allow_equal).nodes == nodes, (n, m)
+                if n <= 12:  # the budget is in the same units, and refuses exactly above them
+                    assert count_sum_free(n, m, allow_equal=allow_equal, node_budget=nodes).nodes == nodes
+                    with pytest.raises(BudgetError) as err:
+                        count_sum_free(n, m, allow_equal=allow_equal, node_budget=nodes - 1)
+                    assert err.value.estimate == nodes - 1 and err.value.partial[2] >= nodes
+
+
+def test_counts_leave_no_garbage_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_sum_free(24).total == 45417
+        assert count_in_window(24, 3, 6, allow_equal=False).count > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_search_fixed_m_agrees_with_profile():
     for n in (10, 13, 18):
         full = count_sum_free(n)
@@ -141,7 +182,7 @@ def test_budget_error_survives_pickling():
     err = pickle.loads(pickle.dumps(BudgetError("too big", estimate=7, partial=({1: 2}, None, 3))))
     assert (str(err), err.estimate, err.partial) == ("too big", 7, ({1: 2}, None, 3))
     with pytest.raises(BudgetError) as info:
-        count_sum_free(28, threads=2, node_budget=1000)  # refused inside a pool worker
+        count_sum_free(28, threads=2, node_budget=1000)
     assert info.value.estimate == 1000 and info.value.partial is not None
 
 
