@@ -119,7 +119,7 @@ def check_count_growth(scale: str = "full") -> CheckResult:
     cstar_max = (None, -math.inf)
     problems = []
     for n in range(10, nmax + 1, 2):
-        res = count_sum_free(n, threads=8 if n >= 32 else 1)
+        res = count_sum_free(n)
         ratio = res.total / 2 ** (n // 2)
         ratios[n] = ratio
         if not RATIO_LO <= ratio <= RATIO_HI:
