@@ -46,6 +46,14 @@ def _parse_values(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """Parse "1/4" or "0.25"; a zero denominator raises ValueError like any malformed value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_family(text: str) -> list[list[int]]:
     """Parse "1,3|3,5" into a list of integer lists."""
     return [_parse_values(part) for part in text.split("|")]
@@ -203,11 +211,12 @@ VALUES = "e.g. 1,2,4 or 3:9"
 N, M, K = ("--n", int, None, True), ("--m", int, None, True), ("--k", int, None, True)
 S = ("--s", _parse_values, None, True, VALUES)
 DISTINCT = ("--distinct-only", bool, False, False, "do not count x + x = z")
-SEARCH = {"threads": "threads", "node_budget": "budget"}
+SEARCH = {"node_budget": "budget"}
 
 #: the config file's keys; each sets the default of the common flag of that name
 CONFIG_KEYS = ("budget", "threads", "format", "seed", "cache")
-COMMON = (("--format", ("records", "table", "csv"), "records"), ("--threads", int, 1), ("--budget", int),
+COMMON = (("--format", ("records", "table", "csv"), "records"),
+          ("--threads", int, 1, False, "the sampler's workers; counts run in one process"), ("--budget", int),
           ("--seed", int, 0), ("--cache", str, None, False, "cache directory for result replay"),
           ("--config", str, None, False, "key=value config file"))
 
@@ -245,7 +254,8 @@ COMMANDS = {
     "freiman": Command("progression cover in the small-doubling regime", (S,), _freiman),
     "bset": Command(
         "translates y with |(S+y) \\ (S+S)| <= delta |S|",
-        (S, ("--delta", Fraction, None, True, "fraction in [0,1), e.g. 1/4")), _bset),
+        (S, ("--delta", str, None, True, "fraction in [0,1), e.g. 1/4")), _bset,
+        params=lambda q: {**q, "delta": _parse_fraction(q["delta"])}),  # in main: a bad value exits 2, one line
     "janson": Command(
         "first/second moments of a subset family under a uniform draw",
         (("--family", _parse_family, None, True, 'sets separated by "|", e.g. 1,3|3,5'),

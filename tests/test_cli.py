@@ -1,8 +1,13 @@
 """Command-line interface: records, formats, cache, config, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sumfree
 
 from sumfree import enumeration
 from sumfree.cli import main
@@ -51,6 +56,9 @@ def test_invalid_usage_exits_2(capsys):
     assert code == 2
     code, _, _ = run(["not-a-command"], capsys)
     assert code == 2
+    for delta in ("1", "1/0", "-1/4", "abc"):
+        code, out, err = run(["bset", "--s", "1,2", f"--delta={delta}"], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1), (delta, err)
 
 
 def test_budget_exit_3(capsys):
@@ -172,3 +180,12 @@ def test_verify_small_suite(capsys):
     lines = [line for line in out.splitlines() if line.startswith("[")]
     assert len(lines) == 12
     assert all(line.startswith("[PASS]") for line in lines)
+
+
+def test_cli_import_loads_no_process_pool():
+    # the search runs in one process; the pool modules only cost start-up time
+    pool = "{'multiprocessing', 'concurrent.futures.process'}"
+    code = f"import sys, sumfree.cli; print(sorted({pool} & set(sys.modules)))"
+    env = {"PYTHONPATH": str(Path(sumfree.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
