@@ -26,7 +26,7 @@ print()
 print("Growth against the trivial 2^(n/2) witness count (even n):")
 print(f"  {'n':>3} {'total':>12} {'total/2^(n/2)':>14}")
 for n in range(10, 41, 2):
-    total = count_sum_free(n, threads=2).total
+    total = count_sum_free(n).total
     print(f"  {n:>3} {total:>12} {total / 2 ** (n // 2):>14.3f}")
 
 print()
