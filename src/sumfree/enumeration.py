@@ -53,9 +53,8 @@ class CountResult:
     strata   -- (size, ell, 2k, odd) -> count, or None when not requested
     method   -- "oracle", "memo", or "backtracking" (the strata walk)
     elapsed  -- wall seconds
-    nodes    -- work units: subsets inspected by the oracle; for the search,
-                the tree nodes the count covers, i.e. the sum-free sets of
-                size <= m (all of them when m is None)
+    nodes    -- subsets inspected by the oracle; for the search, the tree
+                nodes covered: the sum-free sets of size <= m (all if m is None)
     """
 
     total: int
@@ -161,16 +160,20 @@ def count_oracle(
 # ----------------------------------------------------------------------
 # Descending search: memoized subtree counts, and a walk for strata
 
+
 def _subtree(
     allowed: int, chosen: int, wanted: int, memo: dict, width: int, allow_equal: bool, budget: int, size: int
 ) -> int:
     """By-size generating polynomial of the search subtree below one state.
 
-    Coefficient j (bits [j*width, (j+1)*width)) counts the sum-free sets of
-    the subtree with j more elements than the state, for j <= wanted.  A
-    chosen element c matters below only while c is in allowed + allowed,
-    so the caller reduces `chosen` to that sumset and memoizes on
-    (allowed, chosen, wanted).
+    Coefficient j (bits [j*width, (j+1)*width)) counts the subtree's
+    sum-free sets with j more elements than the state, for j <= wanted.
+    Only chosen elements inside allowed + allowed matter below, so the
+    caller reduces `chosen` to them and memoizes on (allowed, chosen,
+    wanted).  wanted is capped at |allowed|, which no subtree exceeds: a
+    full profile keys on the first two alone, and a fixed m reaches only
+    states within m levels of the root.  A subtree covering more than
+    `budget` nodes refuses, with its sets by size (from `size`) as partial.
     """
     acc = 0
     below = wanted - 1
@@ -189,7 +192,7 @@ def _subtree(
         if r < 2:
             acc += 1 if r < 1 else 1 + (k << width)
             continue
-        kept &= (1 << 2 * child.bit_length() - 1) - 1
+        kept &= (1 << 2 * child.bit_length() - 1) - 1  # child + child lies below twice its top
         if kept:
             kept &= sumsetbits(child)
         key = (child, kept, r)
