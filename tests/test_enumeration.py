@@ -157,6 +157,24 @@ def test_enumerate_all_sizes_includes_empty():
     assert len(set(sets)) == len(sets)
 
 
+def test_enumerate_matches_sorted_brute_force():
+    rng = random.Random(19)
+    for allow_equal in (True, False):
+        for n in range(0, 15):
+            for universe in (range(1, n + 1), [v for v in range(1, n + 1) if rng.random() < 0.6]):
+                brute = sorted(
+                    s
+                    for size in range(len(universe) + 1)
+                    for s in combinations(universe, size)
+                    if is_sum_free(s, allow_equal)
+                )
+                listed = [tuple(s) for s in enumerate_sum_free(n, universe=universe, allow_equal=allow_equal)]
+                assert listed == brute, (allow_equal, n, list(universe))
+                for m in range(0, n + 2):
+                    listed = [tuple(s) for s in enumerate_sum_free(n, m, universe, allow_equal)]
+                    assert listed == [s for s in brute if len(s) == m], (allow_equal, n, list(universe), m)
+
+
 def test_enumerate_budget_checked_before_streaming():
     with pytest.raises(BudgetError):
         enumerate_sum_free(30, stream_budget=10)
@@ -206,11 +224,11 @@ def test_window_top_half_unconstrained_without_equal_summands():
         assert w.probability == 1
 
 
-def oracle_strata(n, m):
+def oracle_strata(n, m, allow_equal=True):
     joint = Counter()
     odd_joint = Counter()
     for s in combinations(range(1, n + 1), m):
-        if not is_sum_free(s):
+        if not is_sum_free(s, allow_equal):
             continue
         st = statistics_of(s, n)
         joint[(st.ell, st.k)] += 1
@@ -220,12 +238,20 @@ def oracle_strata(n, m):
 
 
 def test_stratified_counts_against_subset_oracle():
-    for n, m in ((12, 4), (11, 3), (10, 5)):
-        table = stratified_counts(n, m)
-        joint, odd_joint = oracle_strata(n, m)
-        assert table.joint == joint
-        assert table.odd_joint == odd_joint
-        assert sum(table.joint.values()) == table.total == count_sum_free(n, m).total
+    for allow_equal in (True, False):
+        for n in range(1, 15):
+            for m in range(0, n + 1):
+                table = stratified_counts(n, m, allow_equal=allow_equal)
+                joint, odd_joint = oracle_strata(n, m, allow_equal)
+                assert (table.joint, table.odd_joint) == (joint, odd_joint), (allow_equal, n, m)
+                assert sum(joint.values()) == table.total == count_sum_free(n, m, allow_equal=allow_equal).total
+
+
+def test_strata_budget_refuses_with_partial_tallies():
+    with pytest.raises(BudgetError) as err:
+        stratified_counts(20, 5, node_budget=100)
+    by_size, strata, nodes = err.value.partial
+    assert isinstance(by_size, dict) and isinstance(strata, dict) and nodes > 100
 
 
 def test_stratified_examples():
