@@ -1,15 +1,15 @@
 """Exact counting and listing of sum-free m-subsets of {1, ..., n}.
 
-Two independent routes are provided.  count_oracle iterates all subsets of
-the universe (vectorized over bitmasks, |universe| <= 24) and filters; it
-is the ground truth the search is checked against.  The search picks
-elements in DESCENDING order while maintaining a forbidden bitmap: after
-choosing x, any smaller y with x + y already chosen, or with 2y = x under
-the default convention, is dead.  Every node of that tree is itself a
-sum-free set and every sum-free set occurs as exactly one node.
+Three routes, one per job.  count_oracle iterates all subsets of the
+universe (vectorized over bitmasks, |universe| <= 24) and filters; it is
+the ground truth the other two are checked against.
 
-count_sum_free does not visit those nodes one by one.  The subtree below
-a state depends only on the allowed elements and on the chosen elements
+count_sum_free picks elements in DESCENDING order while maintaining a
+forbidden bitmap: after choosing x, any smaller y with x + y already
+chosen, or with 2y = x under the default convention, is dead.  Every node
+of that tree is a sum-free set and every sum-free set occurs as exactly
+one node, but the nodes are not visited one by one.  The subtree below a
+state depends only on the allowed elements and on the chosen elements
 inside allowed + allowed: a later kill y + z = c needs both y and z
 allowed, so any other chosen element never matters again.  Each distinct
 state is solved once, as the by-size generating polynomial of its
@@ -17,9 +17,10 @@ subtree packed into one integer (one n + 2 bit field per size), and
 repeated states are read back from a memo that lives for one call.  The
 states grow about 3x for each +4 in n, the sets about 4x.
 
-Counts stratified by the low-part statistics (ell, k, all-odd flag) walk
-the tree node by node instead, maintaining the statistics incrementally
-during the descent.  Everything runs in one process.
+Strata by the low-part statistics (ell, k, all-odd flag) and listings need
+the sets themselves, so stratified_counts and enumerate_sum_free share one
+iterative walk that visits the nodes in ascending set order, keeping the
+statistics incrementally.  Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -40,18 +41,13 @@ DEFAULT_NODE_BUDGET = 2 * 10**8
 DEFAULT_STREAM_BUDGET = 10**6
 ORACLE_MAX_UNIVERSE = 24
 
-#: strata key: (size, ell, twice_k, odd_flag) with twice_k = sum of (n - 2a)
-StrataKey = tuple[int, int, int, bool]
-
-
 @dataclass
 class CountResult:
     """Exact counting result.
 
     total    -- number of matching sum-free sets
     by_size  -- size -> count (single entry when a size was requested)
-    strata   -- (size, ell, 2k, odd) -> count, or None when not requested
-    method   -- "oracle", "memo", or "backtracking" (the strata walk)
+    method   -- "oracle" or "memo"
     elapsed  -- wall seconds
     nodes    -- subsets inspected by the oracle; for the search, the tree
                 nodes covered: the sum-free sets of size <= m (all if m is None)
@@ -59,13 +55,14 @@ class CountResult:
 
     total: int
     by_size: dict[int, int]
-    strata: Optional[dict[StrataKey, int]]
     method: str
     elapsed: float
     nodes: int = 0
 
 
-def _universe_bits(n: int, universe) -> int:
+def _universe_bits(n: int, universe, m: Optional[int] = None) -> int:
+    if m is not None and m < 0:
+        raise ValueError("m must be >= 0")
     if universe is None:
         return ((1 << (n + 1)) - 1) ^ 1
     bits = coerce_bits(universe)
@@ -83,7 +80,6 @@ def count_oracle(
     m: Optional[int] = None,
     universe=None,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    stratify: bool = False,
 ) -> CountResult:
     """Count by inspecting every subset of the universe (exact ground truth).
 
@@ -121,36 +117,10 @@ def count_oracle(
         keep &= sizes == m
     by_size_arr = np.bincount(sizes[keep], minlength=u + 1)
     by_size = {s: int(c) for s, c in enumerate(by_size_arr) if c}
-    strata = None
-    if stratify:
-        low = [i for i, v in enumerate(elements) if 2 * v <= n]
-        ell = np.zeros(1 << u, dtype=np.int64)
-        twk = np.zeros(1 << u, dtype=np.int64)
-        for i in low:
-            bit = ((masks >> i) & 1).astype(np.int64)
-            ell += bit
-            twk += bit * (n - 2 * elements[i])
-        oddf = np.ones(1 << u, dtype=bool)
-        for i, v in enumerate(elements):
-            if v % 2 == 0:
-                oddf &= ((masks >> i) & 1) == 0
-        # pack (size, ell, 2k, odd) into int64: 2k gets 40 bits, sizes fit in 6
-        if int(twk.max(initial=0)) >= 1 << 40:
-            raise ValueError("universe deficiencies too large for strata packing")
-        key = (((sizes << 6) | ell) << 41) | (twk << 1) | oddf
-        uniq, counts = np.unique(key[keep], return_counts=True)
-        strata = {}
-        for kv, c in zip(uniq.tolist(), counts.tolist()):
-            odd = bool(kv & 1)
-            twk_v = (kv >> 1) & ((1 << 40) - 1)
-            ell_v = (kv >> 41) & ((1 << 6) - 1)
-            size_v = kv >> 47
-            strata[(size_v, ell_v, twk_v, odd)] = c
     total = sum(by_size.values())
     return CountResult(
         total=total,
         by_size=by_size,
-        strata=strata,
         method="oracle",
         elapsed=time.perf_counter() - t0,
         nodes=1 << u,
@@ -158,7 +128,7 @@ def count_oracle(
 
 
 # ----------------------------------------------------------------------
-# Descending search: memoized subtree counts, and a walk for strata
+# Counts: memoized subtree polynomials over the descending search
 
 
 def _subtree(
@@ -215,56 +185,15 @@ def _coefficients(value: int, width: int) -> list[int]:
     return [(value >> width * j) & field for j in range((value.bit_length() + width - 1) // width)]
 
 
-def _walk(n: int, ubits: int, allow_equal: bool, m: Optional[int], node_budget: int) -> tuple[Counter, int]:
-    """Visit the search tree node by node; tally (size, ell, 2k, odd) of each matching node."""
-    strata: Counter = Counter()
-    nodes = 0
-    stack = [(ubits, 0, 0, 0, 0, True)]  # allowed, chosen, size, ell, twice_k, odd
-    while stack:
-        allowed, chosen, size, ell, twk, odd = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetError(
-                f"search node budget exceeded ({node_budget})",
-                estimate=node_budget,
-                partial=(_sizes_of(strata), dict(strata), nodes),
-            )
-        if m is None or size == m:
-            strata[(size, ell, twk, odd)] += 1
-            if size == m:
-                continue
-        bits = allowed
-        while bits:
-            x = bits.bit_length() - 1
-            xbit = 1 << x
-            bits ^= xbit
-            child = bits & ~((chosen | xbit) >> x)
-            if allow_equal and not x & 1:
-                child &= ~(1 << (x >> 1))
-            if m is not None and child.bit_count() < m - size - 1:
-                continue
-            low = 2 * x <= n
-            stack.append((child, chosen | xbit, size + 1, ell + low, twk + low * (n - 2 * x), odd and bool(x & 1)))
-    return strata, nodes
-
-
-def _sizes_of(strata: Counter) -> dict[int, int]:
-    by_size: Counter = Counter()
-    for key, c in strata.items():
-        by_size[key[0]] += c
-    return dict(by_size)
-
-
 def count_sum_free(
     n: int,
     m: Optional[int] = None,
     universe=None,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    stratify: bool = False,
     threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CountResult:
-    """Exact sum-free counts via the descending search.
+    """Exact sum-free counts on the memoized search.
 
     Parameters
     ----------
@@ -272,44 +201,68 @@ def count_sum_free(
     m : count only sets of this size (None = full profile by size).
     universe : optional restriction, a subset of {1, ..., n}.
     allow_equal : whether x + x = z disqualifies (default True).
-    stratify : also tally by (ell, 2k, all-odd) low-part statistics.
     threads : accepted for compatibility; the search runs in one process
         and results are identical for every value.
     node_budget : refuse with BudgetError when the count covers more tree
         nodes, i.e. sum-free sets (of size <= m when m is given).
     """
     t0 = time.perf_counter()
-    if m is not None and m < 0:
-        raise ValueError("m must be >= 0")
-    ubits = _universe_bits(n, universe)
-    method = "backtracking" if stratify else "memo"
+    ubits = _universe_bits(n, universe, m)
     if m is not None and m > ubits.bit_count():
-        return CountResult(0, {}, {} if stratify else None, method, 0.0, 0)
-
-    strata = None
-    if stratify:
-        strata, nodes = _walk(n, ubits, allow_equal, m, node_budget)
-        strata, by_size = dict(strata), _sizes_of(strata)
-    else:
-        width = n + 2  # a field holds any count <= 2^n, and so does the sum of all fields
-        wanted = ubits.bit_count() if m is None else min(m, ubits.bit_count())
-        value = _subtree(ubits, 0, wanted, {}, width, allow_equal, node_budget, 0)
-        nodes = value % ((1 << width) - 1)
-        by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c and (m is None or j == m)}
-
-    by_size = {s: c for s, c in sorted(by_size.items())}
+        return CountResult(0, {}, "memo", 0.0, 0)
+    width = n + 2  # a field holds any count <= 2^n, and so does the sum of all fields
+    wanted = ubits.bit_count() if m is None else m
+    value = _subtree(ubits, 0, wanted, {}, width, allow_equal, node_budget, 0)
+    by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c and (m is None or j == m)}
     return CountResult(
         total=sum(by_size.values()),
         by_size=by_size,
-        strata=strata,
-        method=method,
+        method="memo",
         elapsed=time.perf_counter() - t0,
-        nodes=nodes,
+        nodes=value % ((1 << width) - 1),
     )
 
 
 # ----------------------------------------------------------------------
-# Streaming enumeration (ascending lexicographic order)
+# Strata and listings: one walk over the ascending search
+
+
+def _walk(n: int, ubits: int, allow_equal: bool, m: Optional[int]) -> Iterator[tuple]:
+    """Yield every node (allowed, chosen, size, ell, 2k, odd) of the ascending search, in set order.
+
+    Elements are added in ascending order: choosing x kills c + x for each
+    chosen c, and 2x by convention, so `allowed` holds the elements above
+    max(chosen) that keep the set sum-free.  With m given, branches that
+    cannot reach size m are skipped, and a node of size m - 1 yields its
+    size-m children directly (allowed 0) instead of stacking them.
+    """
+    stack = [(ubits, 0, 0, 0, 0, True)]
+    while stack:
+        node = stack.pop()
+        yield node
+        allowed, chosen, size, ell, twk, odd = node
+        if size == m:
+            continue
+        if m is not None and size == m - 1:
+            while allowed:
+                xbit = allowed & -allowed
+                allowed ^= xbit
+                x = xbit.bit_length() - 1
+                low = 2 * x <= n
+                yield 0, chosen | xbit, m, ell + low, twk + low * (n - 2 * x), odd and bool(x & 1)
+            continue
+        need = -1 if m is None else m - size - 1
+        higher = 0  # allowed elements above x
+        while allowed:  # descending, so the smallest x is stacked last and walked first
+            x = allowed.bit_length() - 1
+            xbit = 1 << x
+            allowed ^= xbit
+            child = higher & ~((chosen | xbit) << x if allow_equal else chosen << x)
+            higher |= xbit
+            if child.bit_count() < need:
+                continue
+            low = 2 * x <= n
+            stack.append((child, chosen | xbit, size + 1, ell + low, twk + low * (n - 2 * x), odd and bool(x & 1)))
 
 
 def enumerate_sum_free(
@@ -330,27 +283,8 @@ def enumerate_sum_free(
             f"enumeration would stream {expected} sets (> budget {stream_budget})",
             estimate=expected,
         )
-    ubits = _universe_bits(n, universe)
-    return _enumerate_rec(n, ubits, allow_equal, m, 0, 0, 1)
-
-
-def _enumerate_rec(
-    n: int, ubits: int, allow_equal: bool, m: Optional[int], chosen: int, size: int, start: int
-) -> Iterator[IntSet]:
-    if m is None or size == m:
-        yield IntSet.from_bits(n, chosen)
-        if m is not None:
-            return
-    for x in range(start, n + 1):
-        if not (ubits >> x) & 1:
-            continue
-        # choosing x kills every later y with y = c + x, plus y = 2x by convention
-        forbidden = chosen << x
-        if allow_equal:
-            forbidden |= 1 << (2 * x)
-        yield from _enumerate_rec(
-            n, ubits & ~forbidden & ~((1 << (x + 1)) - 1), allow_equal, m, chosen | (1 << x), size + 1, x + 1
-        )
+    nodes = _walk(n, _universe_bits(n, universe), allow_equal, m)
+    return (IntSet.from_bits(n, node[1]) for node in nodes if m is None or node[2] == m)
 
 
 # ----------------------------------------------------------------------
@@ -376,10 +310,9 @@ def count_in_window(
     a: int,
     m: int,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WindowCount:
-    """Exact sum-free m-set count in {ceil(n/2) - a, ..., n}; threads changes nothing."""
+    """Exact sum-free m-set count in {ceil(n/2) - a, ..., n}."""
     lo = (n + 1) // 2 - a
     if lo < 1:
         raise ValueError(f"window start {lo} below 1 (a too large)")
@@ -420,14 +353,24 @@ def stratified_counts(
     n: int,
     m: int,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> StratifiedCounts:
-    """Exact joint (ell, k) distribution of sum-free m-subsets of {1, ..., n}; threads changes nothing."""
-    res = count_sum_free(n, m, allow_equal=allow_equal, stratify=True, node_budget=node_budget)
-    table = StratifiedCounts(n=n, m=m, total=res.total)
-    for (size, ell, twk, odd), c in res.strata.items():
-        assert size == m
+    """Exact joint (ell, k) distribution of sum-free m-subsets of {1, ..., n}.
+
+    Refuses with BudgetError once the walk has visited more than node_budget
+    nodes; the partial tallies are (by_size, (size, ell, 2k, odd) strata, nodes).
+    """
+    strata: Counter = Counter()
+    for nodes, node in enumerate(_walk(n, _universe_bits(n, None, m), allow_equal, m), 1):
+        if nodes > node_budget:
+            by_size = {m: sum(strata.values())} if strata else {}
+            raise BudgetError(
+                f"search node budget exceeded ({node_budget})", estimate=node_budget, partial=(by_size, dict(strata), nodes)
+            )
+        if node[2] == m:
+            strata[node[2:]] += 1
+    table = StratifiedCounts(n=n, m=m, total=sum(strata.values()))
+    for (_size, ell, twk, odd), c in strata.items():
         key = (ell, Fraction(twk, 2))
         table.joint[key] = table.joint.get(key, 0) + c
         if odd:
