@@ -208,8 +208,8 @@ def janson_quantities(family: Sequence, ground_size: int, draw_size: int) -> Jan
     if any(not u for u in sets):
         raise ValueError("family members must be nonempty")
     n, m = ground_size, draw_size
-    if not (0 <= m <= n):
-        raise ValueError("need 0 <= draw_size <= ground_size")
+    if not (0 <= m <= n) or n < 1:
+        raise ValueError("need 0 <= draw_size <= ground_size and ground_size >= 1")
     q = m / n
     mu = 0.0
     for u in sets:
@@ -297,6 +297,8 @@ def theorem_rhs(name: str, **params) -> LogValue:
     """
     if name == "CEthm":
         n, m, c = params["n"], params["m"], params["C"]
+        if m < 1:
+            raise ValueError("CEthm needs m >= 1")
         return LogValue(c * n / m * LN2) * log_binom((n + 1) // 2, m)
     if name == "S+S":
         k, ell, c, delta = params["k"], params["ell"], params["c"], params["delta"]
@@ -324,8 +326,8 @@ def empirical_constant(n: int, m: int, exact_count: int) -> Optional[float]:
 
     None when the count is zero (the constant is undefined).
     """
-    if exact_count < 0:
-        raise ValueError("count must be >= 0")
+    if n < 1 or exact_count < 0:
+        raise ValueError("need n >= 1 and count >= 0")
     if exact_count == 0:
         return None
     log2_count = _log_of_int(exact_count) / LN2

@@ -156,6 +156,8 @@ def _count(n, m, universe, allow_equal, oracle, **run):
 
 def _restricted(ratio_table=False, **q):
     if not ratio_table:
+        if q["ell"] is None:
+            raise ValueError("restricted needs --ell (or --ratio-table)")
         return {"count": partitions.count_restricted(**q)}
     fields = ("k", "ell", "family", "parameter", "cap", "count")
     return [{**dict(zip(fields, row)), "rhs_log": round(rhs, 6), "log_ratio": None if r is None else round(r, 6)}
@@ -385,7 +387,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(fh.read())
             return 0
         t0 = time.perf_counter()
-        run = {keyword: getattr(ns, flag) for keyword, flag in command.run.items() if getattr(ns, flag)}
+        run = {keyword: getattr(ns, flag) for keyword, flag in command.run.items() if getattr(ns, flag) is not None}
         result = command.project(command.call(**params, **run))
         elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
     except BudgetError as exc:

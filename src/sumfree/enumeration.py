@@ -61,8 +61,8 @@ class CountResult:
 
 
 def _universe_bits(n: int, universe, m: Optional[int] = None) -> int:
-    if m is not None and m < 0:
-        raise ValueError("m must be >= 0")
+    if n < 0 or (m is not None and m < 0):
+        raise ValueError("n and m must be >= 0")
     if universe is None:
         return ((1 << (n + 1)) - 1) ^ 1
     bits = coerce_bits(universe)
@@ -316,9 +316,11 @@ def count_in_window(
     lo = (n + 1) // 2 - a
     if lo < 1:
         raise ValueError(f"window start {lo} below 1 (a too large)")
+    usize = n - lo + 1
+    if m > usize:
+        raise ValueError(f"m = {m} exceeds the window size {usize}")
     universe = IntSet.interval(n, lo, n)
     res = count_sum_free(n, m, universe=universe, allow_equal=allow_equal, node_budget=node_budget)
-    usize = n - lo + 1
     return WindowCount(
         count=res.total,
         window_lo=lo,

@@ -111,6 +111,8 @@ def sample_uniform(
     t0 = time.perf_counter()
     if not (0 <= m <= n):
         raise ValueError("need 0 <= m <= n")
+    if count < 0 or workers < 1:
+        raise ValueError("need count >= 0 and workers >= 1")
     rate = acceptance_estimate(n, m, seed=seed, allow_equal=allow_equal)
     if rate < min_acceptance:
         raise BudgetError(
@@ -185,6 +187,8 @@ def parse_m_rule(rule) -> Callable[[int], int]:
         return lambda n: (n + 1) // 2
     if rule.startswith("div:"):
         k = int(rule.split(":", 1)[1])
+        if k < 1:
+            raise ValueError("div:K needs K >= 1")
         return lambda n: -(-n // k)
     if rule.startswith("fixed:"):
         m = int(rule.split(":", 1)[1])
@@ -205,6 +209,8 @@ def structure_trend(
     For n <= exact_limit the distribution is the exact stratified count;
     beyond that, `count` uniform samples are used.
     """
+    if any(n < 1 for n in n_list):
+        raise ValueError("every n must be >= 1")
     rule = parse_m_rule(m_rule)
     rows = []
     for n in n_list:

@@ -59,6 +59,22 @@ def test_invalid_usage_exits_2(capsys):
     for delta in ("1", "1/0", "-1/4", "abc"):
         code, out, err = run(["bset", "--s", "1,2", f"--delta={delta}"], capsys)
         assert (code, out, len(err.splitlines())) == (2, "", 1), (delta, err)
+    for argv in (
+        "window --n 10 --a 1 --m 20",
+        "restricted --k 10",
+        "janson --family 1,2 --ground 0 --draw 0",
+        "bounds --name CEthm --n 10 --m 0 --bigc 1",
+        "constant --n 0 --m 1 --count 5",
+        "trend --n-list 12 --m-rule div:0",
+        "trend --n-list 0 --count 10",
+        "sample --n 10 --m 3 --count 5 --threads 0",
+        "sample --n 10 --m 3 --count 5 --threads -1",
+        "sample --n 10 --m 3 --count -5",
+        "count --n -1",
+        "strata --n -1 --m 1",
+    ):
+        code, out, err = run(argv.split(), capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1), (argv, err)
 
 
 def test_budget_exit_3(capsys):
@@ -70,6 +86,12 @@ def test_budget_exit_3(capsys):
     for argv in (["strata", "--n", "20", "--m", "5"], ["window", "--n", "30", "--a", "3", "--m", "5"]):
         code, _, err = run(argv + ["--budget", "100"], capsys)
         assert code == 3 and "budget" in err
+
+
+def test_budget_zero_refuses(capsys):
+    for argv in (["count", "--n", "10"], ["strata", "--n", "10", "--m", "3"], ["enumerate", "--n", "10"]):
+        code, out, err = run(argv + ["--budget", "0"], capsys)
+        assert (code, out) == (3, "") and "budget" in err, argv
 
 
 def test_cache_replay_byte_identical(tmp_path, capsys):

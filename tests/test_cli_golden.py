@@ -52,13 +52,15 @@ CASES = [
     "count --n 12 --format csv",
     "inequalities --kind binom --a 10 --b 4 --c 2 --format table",
     "inequalities --kind binom --a 10 --b 4 --c 2 --format csv",
-    # exit codes: usage errors 2 (a missing config file and a bad delta included), budget refusal 3
+    # exit codes: usage errors 2 (a missing config file, a bad delta and out-of-range values included), budget refusal 3
     "count",
     "not-a-command",
     "count --n 4 --config no-such-sumfree.cfg",
     "restricted --k 200 --ell 10 --sumset-cap 25 --budget 10",
     "bset --s 1,2 --delta 1",
     "bset --s 1,2 --delta 1/0",
+    "window --n 10 --a 1 --m 20",
+    "sample --n 10 --m 3 --count 5 --threads 0",
 ]
 
 
