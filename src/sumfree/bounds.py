@@ -47,10 +47,6 @@ class LogValue:
             return cls(_log_of_int(value))
         return cls(log(value))
 
-    @classmethod
-    def from_log(cls, lv: float) -> "LogValue":
-        return cls(lv)
-
     @property
     def is_zero(self) -> bool:
         return self.log == -inf

@@ -63,8 +63,10 @@ def schur_edges(n: int) -> Iterator[tuple[int, int, int]]:
 
 
 def schur_edge_count(n: int) -> int:
-    """Number of triples x < y < z = x + y <= n."""
-    return sum(1 for _ in schur_edges(n))
+    """Number of triples x < y < z = x + y <= n, i.e. floor((n-1)^2 / 4)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (n - 1) ** 2 // 4
 
 
 def delta2(n: int) -> int:

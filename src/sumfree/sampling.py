@@ -129,7 +129,6 @@ def sample_uniform(
     ks: list[Fraction] = []
     for wseed, quota in zip(worker_seeds, quotas):
         for sample in draw_sum_free(n, m, quota, wseed, allow_equal):
-            assert is_sum_free(sample, allow_equal)
             st = statistics_of(sample, n)
             histogram[(st.ell, st.k, st.odd_flag)] += 1
             ells.append(st.ell)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 from .intset import IntSet, coerce_bits, iter_bits
 
@@ -28,9 +29,7 @@ def sumset(a_values, b_values=None) -> IntSet:
     b_bits = a_bits if b_values is None else coerce_bits(b_values)
     if not a_bits or not b_bits:
         raise ValueError("sumset of an empty set is undefined")
-    out = 0
-    for a in iter_bits(a_bits):
-        out |= b_bits << a
+    out = sumsetbits(a_bits, b_bits)
     return IntSet.from_bits(out.bit_length() - 1, out)
 
 
@@ -50,13 +49,14 @@ def doubling(values) -> Fraction:
     return Fraction(sumsetbits(bits).bit_count(), bits.bit_count())
 
 
-def sumsetbits(bits: int) -> int:
-    """Bitmap of S+S from the bitmap of S (0 for the empty set)."""
+def sumsetbits(bits: int, other: Optional[int] = None) -> int:
+    """Bitmap of S+T from the bitmaps of S and T, T = S by default (0 when either is empty)."""
+    shifted = bits if other is None else other
     out = 0
     rest = bits
     while rest:
         low = rest & -rest
-        out |= bits * low  # bits shifted up by the value of the lowest element left
+        out |= shifted * low  # T shifted up by the value of the lowest element of S left
         rest ^= low
     return out
 

@@ -66,7 +66,7 @@ def test_schur_edges_against_pair_loop():
 
 def test_schur_edge_count_closed_form():
     for n in list(range(1, 201)) + [251, 333, 400, 500]:
-        assert schur_edge_count(n) == (n - 1) ** 2 // 4
+        assert schur_edge_count(n) == (n - 1) ** 2 // 4 == sum(1 for _ in schur_edges(n))
 
 
 def test_edges_have_distinct_members():
