@@ -1,8 +1,9 @@
 """Exact counting and listing of sum-free m-subsets of {1, ..., n}.
 
-Three routes, one per job.  count_oracle iterates all subsets of the
-universe (vectorized over bitmasks, |universe| <= 24) and filters; it is
-the ground truth the other two are checked against.
+count_oracle iterates all subsets of the universe (vectorized over
+bitmasks, |universe| <= 24) and filters; it is the ground truth.  The
+search has two engines, one per job: a memo for counts and a walk for
+strata and listings.
 
 count_sum_free picks elements in DESCENDING order while maintaining a
 forbidden bitmap: after choosing x, any smaller y with x + y already
@@ -40,6 +41,7 @@ from .sumsets import sumsetbits
 DEFAULT_NODE_BUDGET = 2 * 10**8
 DEFAULT_STREAM_BUDGET = 10**6
 ORACLE_MAX_UNIVERSE = 24
+
 
 @dataclass
 class CountResult:
@@ -90,7 +92,7 @@ def count_oracle(
     import numpy as np  # only the oracle needs numpy; keeps it out of start-up
 
     t0 = time.perf_counter()
-    ubits = _universe_bits(n, universe)
+    ubits = _universe_bits(n, universe, m)
     elements = [v for v in range(1, n + 1) if (ubits >> v) & 1]
     u = len(elements)
     if u > ORACLE_MAX_UNIVERSE:
@@ -117,9 +119,8 @@ def count_oracle(
         keep &= sizes == m
     by_size_arr = np.bincount(sizes[keep], minlength=u + 1)
     by_size = {s: int(c) for s, c in enumerate(by_size_arr) if c}
-    total = sum(by_size.values())
     return CountResult(
-        total=total,
+        total=sum(by_size.values()),
         by_size=by_size,
         method="oracle",
         elapsed=time.perf_counter() - t0,
@@ -319,8 +320,7 @@ def count_in_window(
     usize = n - lo + 1
     if m > usize:
         raise ValueError(f"m = {m} exceeds the window size {usize}")
-    universe = IntSet.interval(n, lo, n)
-    res = count_sum_free(n, m, universe=universe, allow_equal=allow_equal, node_budget=node_budget)
+    res = count_sum_free(n, m, IntSet.interval(n, lo, n), allow_equal, node_budget=node_budget)
     return WindowCount(
         count=res.total,
         window_lo=lo,
@@ -365,10 +365,8 @@ def stratified_counts(
     strata: Counter = Counter()
     for nodes, node in enumerate(_walk(n, _universe_bits(n, None, m), allow_equal, m), 1):
         if nodes > node_budget:
-            by_size = {m: sum(strata.values())} if strata else {}
-            raise BudgetError(
-                f"search node budget exceeded ({node_budget})", estimate=node_budget, partial=(by_size, dict(strata), nodes)
-            )
+            partial = ({m: sum(strata.values())} if strata else {}, dict(strata), nodes)
+            raise BudgetError(f"search node budget exceeded ({node_budget})", estimate=node_budget, partial=partial)
         if node[2] == m:
             strata[node[2:]] += 1
     table = StratifiedCounts(n=n, m=m, total=sum(strata.values()))
