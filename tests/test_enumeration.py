@@ -37,6 +37,33 @@ def test_oracle_rejects_large_universe():
         count_oracle(25)
 
 
+def brute_force_profile(elements, allow_equal):
+    """Sum-free subsets of `elements` by size: every combination, every pair x + y checked."""
+    by_size = Counter()
+    for size in range(len(elements) + 1):
+        for s in combinations(elements, size):
+            members = set(s)
+            if not any(x + y in members for x in s for y in s if allow_equal or x != y):
+                by_size[size] += 1
+    return dict(by_size)
+
+
+def test_oracle_matches_pure_python_brute_force():
+    rng = random.Random(19)
+    for n in range(0, 13):
+        full = list(range(1, n + 1))
+        for universe in (None, [v for v in full if rng.random() < 0.5], []):
+            elements = full if universe is None else universe
+            for allow_equal in (True, False):
+                want = brute_force_profile(elements, allow_equal)
+                res = count_oracle(n, universe=universe, allow_equal=allow_equal)
+                assert (res.by_size, res.total, res.nodes) == (want, sum(want.values()), 1 << len(elements))
+                for m in range(0, len(elements) + 2):
+                    res = count_oracle(n, m, universe, allow_equal)
+                    assert res.by_size == ({m: want[m]} if m in want else {}), (n, universe, allow_equal, m)
+                    assert res.nodes == 1 << len(elements)
+
+
 def test_search_matches_oracle_small():
     for allow_equal in (True, False):
         for n in range(1, 17):
@@ -66,6 +93,22 @@ def test_full_profiles_match_frozen_profiles():
     for n in range(1, 33):
         by_size = {int(m): c for m, c in frozen[str(n)].items()}
         assert count_sum_free(n).by_size == by_size, n
+
+
+def test_oracle_spanning_several_blocks():
+    frozen = json.loads(FROZEN_PROFILES.read_text())
+    for n in range(17, 21):
+        by_size = {int(m): c for m, c in frozen[str(n)].items()}
+        res = count_oracle(n)
+        assert (res.by_size, res.nodes) == (by_size, 1 << n), n
+        if n == 17:
+            for m in range(0, n + 2):
+                assert count_oracle(n, m).by_size == ({m: by_size[m]} if m in by_size else {}), m
+    universe = random.Random(20).sample(range(1, 31), 18)
+    for allow_equal in (True, False):
+        a = count_oracle(30, universe=universe, allow_equal=allow_equal)
+        b = count_sum_free(30, universe=universe, allow_equal=allow_equal)
+        assert (a.by_size, a.nodes) == (b.by_size, 1 << 18), allow_equal
 
 
 def test_fixed_m_universe_and_window_counts_match_oracle():
