@@ -320,10 +320,12 @@ def theorem_rhs(name: str, **params) -> LogValue:
 def empirical_constant(n: int, m: int, exact_count: int) -> Optional[float]:
     """Invert the count bound: C*(n, m) = (m/n) log2(count / C(ceil(n/2), m)).
 
-    None when the count is zero (the constant is undefined).
+    None when the count is zero (the constant is undefined).  Outside
+    0 <= m <= ceil(n/2) the binomial is zero and the constant infinite, so
+    such an m is refused.
     """
-    if n < 1 or exact_count < 0:
-        raise ValueError("need n >= 1 and count >= 0")
+    if n < 1 or exact_count < 0 or not 0 <= m <= (n + 1) // 2:
+        raise ValueError("need n >= 1, 0 <= m <= ceil(n/2) and count >= 0")
     if exact_count == 0:
         return None
     log2_count = _log_of_int(exact_count) / LN2

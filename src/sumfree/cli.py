@@ -3,7 +3,8 @@
 One subcommand per library operation, declared once in COMMANDS with its
 arguments, library call and result projection.  Results are emitted as
 JSON-lines records (default), an aligned table, or CSV; big integers are
-decimal strings and exact rationals "p/q", so records stay diff-able.
+decimal strings, exact rationals "p/q" and non-finite floats "inf",
+"-inf" or "nan", so records stay diff-able and valid JSON.
 With --cache DIR a query is fingerprinted over (op, params, format) and a
 hit is replayed byte-identically without running the query.
 
@@ -65,11 +66,11 @@ def _jsonable(obj):
     if isinstance(obj, int):
         return str(obj) if abs(obj) >= 2**53 else obj
     if isinstance(obj, float):
-        return obj
+        return obj if math.isfinite(obj) else str(obj)  # "inf", "-inf" or "nan", never a non-JSON token
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, LogValue):
-        return {"log": obj.log}
+        return {"log": _jsonable(obj.log)}
     if isinstance(obj, IntSet):
         return list(obj)
     if is_dataclass(obj):
@@ -94,7 +95,7 @@ class Emitter:
 
     def emit_record(self, record: dict):
         if self.fmt == "records":
-            self.out.write(json.dumps(record, sort_keys=True) + "\n")
+            self.out.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
         elif self.fmt == "csv":
             self._emit_csv(record)
         else:

@@ -202,3 +202,7 @@ def test_empirical_constant_examples():
     assert empirical_constant(4, 2, 0) is None
     # may legitimately go negative for undercounts
     assert empirical_constant(10, 3, 1) < 0
+    assert empirical_constant(9, 5, 1) == 0.0  # m = ceil(n/2): the top half itself
+    for m in (-1, 6, 20):
+        with pytest.raises(ValueError):
+            empirical_constant(10, m, 5)

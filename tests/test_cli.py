@@ -65,6 +65,8 @@ def test_invalid_usage_exits_2(capsys):
         "janson --family 1,2 --ground 0 --draw 0",
         "bounds --name CEthm --n 10 --m 0 --bigc 1",
         "constant --n 0 --m 1 --count 5",
+        "constant --n 10 --m 20 --count 5",
+        "constant --n 10 --m -1 --count 5",
         "trend --n-list 12 --m-rule div:0",
         "trend --n-list 0 --count 10",
         "sample --n 10 --m 3 --count 5 --threads 0",

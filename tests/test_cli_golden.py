@@ -61,6 +61,10 @@ CASES = [
     "bset --s 1,2 --delta 1/0",
     "window --n 10 --a 1 --m 20",
     "sample --n 10 --m 3 --count 5 --threads 0",
+    # non-finite floats are written as strings; an m outside 0..ceil(n/2) has no finite constant
+    "bounds --name parts --k 0 --ell 3",
+    "constant --n 10 --m 20 --count 5",
+    "constant --n 10 --m -1 --count 5",
 ]
 
 
@@ -90,6 +94,22 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", CASES)
 def test_golden_record(case):
     assert _run(case) == json.loads(DATA.read_text())[case]
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_records_are_strict_json():
+    golden = json.loads(DATA.read_text(), parse_constant=_refuse)
+    lines = [line for case in CASES for line in golden[case]["stdout"].splitlines() if line.startswith('{"op": ')]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(shlex.split("bounds --name parts --k 0 --ell 3")) == 0
+    lines.append(out.getvalue())
+    for line in lines:
+        json.loads(line, parse_constant=_refuse)
+    assert json.loads(lines[-1])["result"]["log"] == "-inf"
 
 
 if __name__ == "__main__":
