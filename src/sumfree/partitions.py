@@ -11,14 +11,14 @@ The restricted counters answer "how many of those sets also have a small
 sumset".  No closed form is known, so they enumerate the candidate sets
 down a descending-largest-part tree with sum/size pruning and filter by
 the exact |S+S| of each candidate.  Enumeration is refused (BudgetError)
-when the candidate count exceeds the configured budget; results are exact
-integers, never truncated.
+when the candidate count exceeds the configured budget, or, for
+count_small_sumset_sets, once its pruned search visits more nodes than
+the budget; results are exact integers, never truncated.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
 from typing import Iterator, Optional
 
 from .errors import BudgetError
@@ -133,29 +133,42 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
 
     Searches ascending with an incremental sumset bitmap; a branch dies as
     soon as the partial sumset already exceeds the cap (subsets only grow
-    their sumsets).
+    their sumsets).  The nodes of that pruned tree are the subsets S with
+    |S+S| <= cap that still fit m - |S| larger elements, the empty set
+    included.  Once more than `budget` of them are visited it refuses,
+    with (sets found, nodes visited) as partial.
     """
     if n < 1 or m < 0 or cap < 0:
         raise ValueError("need n >= 1, m >= 0, cap >= 0")
-    candidates = comb(n, m)
-    if candidates > budget:
-        raise BudgetError(
-            f"instance too large for exact enumeration (about {candidates} candidates)",
-            estimate=candidates,
-        )
+    found, nodes = int(m == 0), 1  # the root is the empty set
 
-    def rec(start: int, picked: int, bits: int, ss: int) -> int:
-        if picked == m:
-            return 1
-        total = 0
-        for v in range(start, n - (m - picked) + 2):
+    def check() -> None:
+        if nodes > budget:
+            raise BudgetError(f"search node budget exceeded ({budget})", estimate=budget, partial=(found, nodes))
+
+    def rec(start: int, picked: int, bits: int, ss: int) -> None:
+        nonlocal found, nodes
+        check()
+        stop = n - (m - picked) + 2
+        if picked == m - 1:  # the children are the m-sets: count them without descending
+            kept = 0
+            for v in range(start, stop):
+                if (ss | (bits | 1 << v) << v).bit_count() <= cap:
+                    kept += 1
+            found += kept
+            nodes += kept
+            return
+        for v in range(start, stop):
             nb = bits | (1 << v)
             nss = ss | (nb << v)
             if nss.bit_count() <= cap:
-                total += rec(v + 1, picked + 1, nb, nss)
-        return total
+                nodes += 1
+                rec(v + 1, picked + 1, nb, nss)
 
-    return rec(1, 0, 0, 0)
+    if m:
+        rec(1, 0, 0, 0)
+    check()
+    return found
 
 
 def _check_budget(k: int, ell: int, budget: int) -> None:

@@ -141,6 +141,29 @@ def test_count_small_sumset_sets_against_combinations():
         assert count_small_sumset_sets(n, m, cap) == expected
 
 
+def pruned_tree_nodes(n, m, cap):
+    """Sets S with |S+S| <= cap and room for m - |S| larger elements in {1..n}, the empty set included."""
+    return sum(
+        1
+        for size in range(m + 1)
+        for s in combinations(range(1, n + 1), size)
+        if not s or (s[-1] <= n - (m - size) and len(sumset(s)) <= cap)
+    )
+
+
+def test_count_small_sumset_sets_budgets_visited_nodes():
+    # C(20, 6) = 38,760 candidates, but the pruned search visits 8,207 nodes
+    expected = sum(1 for s in combinations(range(1, 21), 6) if len(sumset(s)) <= 13)
+    assert count_small_sumset_sets(20, 6, 13, budget=10_000) == expected == 245
+    for n, m, cap in ((20, 6, 13), (8, 3, 6), (9, 4, 9), (7, 0, 0), (6, 1, 2)):
+        nodes = pruned_tree_nodes(n, m, cap)
+        count = count_small_sumset_sets(n, m, cap, budget=nodes)
+        with pytest.raises(BudgetError) as err:
+            count_small_sumset_sets(n, m, cap, budget=nodes - 1)
+        found, visited = err.value.partial
+        assert err.value.estimate == nodes - 1 and visited >= nodes and found <= count, (n, m, cap)
+
+
 def test_hardy_ramanujan_window():
     # p(k) * 4k sqrt(3) * exp(-pi sqrt(2k/3)) stays inside [0.8, 1.25]
     for k in range(50, 501):
