@@ -90,7 +90,7 @@ FROZEN_PROFILES = Path(__file__).resolve().parents[1] / "perfbench" / "frozen_pr
 
 def test_full_profiles_match_frozen_profiles():
     frozen = json.loads(FROZEN_PROFILES.read_text())
-    for n in range(1, 33):
+    for n in range(1, 35):
         by_size = {int(m): c for m, c in frozen[str(n)].items()}
         assert count_sum_free(n).by_size == by_size, n
 
@@ -340,6 +340,9 @@ def test_known_total_counts():
              1954, 3139, 4398, 6976, 9583]
     for n, expected in enumerate(known, start=1):
         assert count_sum_free(n).total == expected
+    # published totals (OEIS A007865) above the frozen profiles
+    assert count_sum_free(35).total == 2_630_061
+    assert count_sum_free(36).total == 3_540_355
 
 
 def test_growth_ratio_window_both_parities():
