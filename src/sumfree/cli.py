@@ -149,7 +149,7 @@ def _pick(obj, *names) -> dict:
 
 
 def _count(n, m, universe, allow_equal, oracle, **run):
-    universe = _parse_values(universe) if universe else None
+    universe = None if universe is None else _parse_values(universe)
     if oracle:
         return enumeration.count_oracle(n, m, universe, allow_equal)
     return enumeration.count_sum_free(n, m, universe, allow_equal, **run)

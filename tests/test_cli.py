@@ -149,6 +149,17 @@ def test_sample_embeds_seed(capsys):
     assert sum(rec["result"]["histogram"].values()) == 40
 
 
+def test_empty_universe_counts_only_the_empty_set(capsys):
+    expected = enumeration.count_sum_free(10, universe=[]).by_size
+    assert expected == {0: 1}
+    for universe in ("", "10:5"):
+        code, out, _ = run(["count", "--n", "10", f"--universe={universe}"], capsys)
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["params"]["universe"] == universe
+        assert rec["result"]["by_size"] == {str(m): c for m, c in expected.items()}
+
+
 def test_enumerate_and_strata_and_window(capsys):
     code, out, _ = run(["enumerate", "--n", "4", "--m", "2"], capsys)
     rec = json.loads(out)

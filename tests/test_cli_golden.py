@@ -65,6 +65,8 @@ CASES = [
     "bounds --name parts --k 0 --ell 3",
     "constant --n 10 --m 20 --count 5",
     "constant --n 10 --m -1 --count 5",
+    # an empty universe holds only the empty set
+    "count --n 10 --universe ''",
 ]
 
 
