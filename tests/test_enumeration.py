@@ -170,6 +170,18 @@ def test_counts_leave_no_garbage_cycles():
         gc.enable()
 
 
+def test_memo_states_are_reported():
+    # distinct states solved below the root; the oracle solves none
+    res = count_sum_free(32)
+    assert res.states == 25_172
+    assert count_oracle(12).states == 0
+    for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
+        first, again = count_sum_free(n, m), count_sum_free(n, m)
+        assert first.states == again.states > 0, (n, m)
+        assert first.states <= first.nodes, (n, m)
+    assert count_sum_free(10, universe=[]).states == 0
+
+
 def test_search_fixed_m_agrees_with_profile():
     for n in (10, 13, 18):
         full = count_sum_free(n)
