@@ -172,8 +172,7 @@ def test_counts_leave_no_garbage_cycles():
 
 def test_memo_states_are_reported():
     # distinct states solved below the root; the oracle solves none
-    res = count_sum_free(32)
-    assert res.states == 25_172
+    assert count_sum_free(32).states == 25_172
     assert count_oracle(12).states == 0
     for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
         first, again = count_sum_free(n, m), count_sum_free(n, m)
