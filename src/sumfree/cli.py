@@ -9,8 +9,9 @@ With --cache DIR a query is fingerprinted over (op, params, format) and a
 hit is replayed byte-identically without running the query.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad config
-file included), 3 budget exceeded.  A key=value config file (--config)
-presets budget, threads, format, seed and cache; flags always win.
+file and an unusable cache directory included), 3 budget exceeded.  A
+key=value config file (--config) presets budget, format, seed and cache;
+flags always win.
 """
 
 from __future__ import annotations
@@ -217,10 +218,9 @@ DISTINCT = ("--distinct-only", bool, False, False, "do not count x + x = z")
 SEARCH = {"node_budget": "budget"}
 
 #: the config file's keys; each sets the default of the common flag of that name
-CONFIG_KEYS = ("budget", "threads", "format", "seed", "cache")
-COMMON = (("--format", ("records", "table", "csv"), "records"),
-          ("--threads", int, 1, False, "the sampler's workers; counts run in one process"), ("--budget", int),
-          ("--seed", int, 0), ("--cache", str, None, False, "cache directory for result replay"),
+CONFIG_KEYS = ("budget", "format", "seed", "cache")
+COMMON = (("--format", ("records", "table", "csv"), "records"), ("--budget", int), ("--seed", int, 0),
+          ("--cache", str, None, False, "cache directory for result replay"),
           ("--config", str, None, False, "key=value config file"))
 
 COMMANDS = {
@@ -287,7 +287,7 @@ COMMANDS = {
         else {"kind": "binom", "a": q["a"], "b": q["b"], "c": q["c"], "d": q["d"] or 0}),
     "sample": Command(
         "uniform random sum-free m-sets by rejection", (N, M, ("--count", int, None, True), DISTINCT),
-        sampling.sample_uniform, common=("seed", "threads"),
+        sampling.sample_uniform, common=("seed",),
         project=lambda rep: {"histogram": {f"{ell},{k},{int(odd)}": c for (ell, k, odd), c in rep.histogram.items()},
                              **_pick(rep, "ell_quantiles", "k_quantiles", "acceptance")}),
     "trend": Command(
@@ -300,7 +300,7 @@ COMMANDS = {
     "verify": Command("run the acceptance checks", (("--suite", ("small", "full"), "full"),)),
 }
 
-RENAMES = {"distinct_only": "allow_equal", "threads": "workers"}
+RENAMES = {"distinct_only": "allow_equal"}
 
 
 def _add_arguments(parser, specs):
@@ -352,7 +352,6 @@ def _cache_path(cache_dir: str, op: str, params: dict, fmt: str) -> str:
 
 
 def _cache_write(path: str, payload: str):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -383,28 +382,30 @@ def main(argv=None) -> int:
         params = _params(command, ns)
         record_params = _jsonable(params)
         path = ns.cache and _cache_path(ns.cache, ns.command, record_params, ns.format)
-        if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                sys.stdout.write(fh.read())
-            return 0
+        if path:
+            os.makedirs(ns.cache, exist_ok=True)  # an unusable directory exits 2 before the query runs
+            if os.path.exists(path):
+                with open(path, encoding="utf-8") as fh:
+                    sys.stdout.write(fh.read())
+                return 0
         t0 = time.perf_counter()
         run = {keyword: getattr(ns, flag) for keyword, flag in command.run.items() if getattr(ns, flag) is not None}
         result = command.project(command.call(**params, **run))
         elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
+        record = {"schema_version": SCHEMA_VERSION, "op": ns.command, "params": record_params,
+                  "result": _jsonable(result), "elapsed_ms": elapsed_ms, "version": __version__,
+                  "timestamp": datetime.now(timezone.utc).isoformat()}
+        out = io.StringIO() if path else sys.stdout
+        Emitter(ns.format, out).emit_record(record)
+        if path:
+            _cache_write(path, out.getvalue())
+            sys.stdout.write(out.getvalue())
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    record = {"schema_version": SCHEMA_VERSION, "op": ns.command, "params": record_params, "result": _jsonable(result),
-              "elapsed_ms": elapsed_ms, "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat()}
-    out = io.StringIO() if path else sys.stdout
-    Emitter(ns.format, out).emit_record(record)
-    if path:
-        _cache_write(path, out.getvalue())
-        sys.stdout.write(out.getvalue())
     return 0
 
 

@@ -73,20 +73,13 @@ def delta2(n: int) -> int:
     """Largest number of triple-hypergraph edges through one vertex pair.
 
     An edge containing the pair {x, y} (x < y) has third element x + y or
-    y - x, so the count per pair is [x + y <= n] + [y != 2x]; the maximum
-    over all pairs is returned (2 for every n >= 4).
+    y - x, so the count per pair is [x + y <= n] + [y != 2x].  No pair
+    exists for n <= 2; for n = 3 every pair lies in one edge; from n = 4
+    on the pair {1, 3} lies in two ({1, 3, 4} and {1, 2, 3}).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    best = 0
-    for x in range(1, n):
-        for y in range(x + 1, n + 1):
-            d = (1 if x + y <= n else 0) + (1 if y != 2 * x else 0)
-            if d > best:
-                best = d
-                if best == 2:
-                    return best
-    return best
+    return 0 if n <= 2 else 1 if n == 3 else 2
 
 
 @dataclass(frozen=True)

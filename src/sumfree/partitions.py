@@ -96,8 +96,8 @@ def sumset_size_profile(
 ) -> Counter:
     """Histogram {|S+S|: count} over all ell-element sets summing to k.
 
-    One enumeration pass answers every sumset-cap query for this (k, ell)
-    via a cumulative sum of the histogram.
+    One enumeration pass answers every sumset-cap query for this (k, ell):
+    the count under a cap is the mass of the sizes up to it.
     """
     _check_budget(k, ell, budget)
     profile: Counter = Counter()
@@ -120,12 +120,8 @@ def count_restricted(
     """
     if sumset_cap is None and universe_cap is None:
         return p_star(k, ell)
-    _check_budget(k, ell, budget)
-    count = 0
-    for parts in iter_distinct_sets(k, ell, universe_cap):
-        if sumset_cap is None or sumsetbits(bits_of(parts)).bit_count() <= sumset_cap:
-            count += 1
-    return count
+    profile = sumset_size_profile(k, ell, universe_cap, budget)
+    return sum(c for size, c in profile.items() if sumset_cap is None or size <= sumset_cap)
 
 
 def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDGET) -> int:

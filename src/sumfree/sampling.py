@@ -8,13 +8,12 @@ the universe is small enough, a pilot stream otherwise); exact enumeration
 is the right tool in that regime.
 
 Reports histogram the low-part statistics (ell, k, all-odd flag) of the
-samples.  Reproducibility: one seed drives a master stream that derives
-one substream per worker, so a report is a pure function of
-(n, m, count, seed, workers).
+samples.  Reproducibility: the seed derives the one stream all samples
+are drawn from, so a report is a pure function of (n, m, count, seed).
 
 Trend tables track the scaled statistics ell * m/n and k * m^3/n^3 across
-n, using exact strata when affordable and sampling otherwise.  The
-"stable" flag compares medians against fixed windows; the windows are
+n, using exact strata up to n = TREND_EXACT_LIMIT and sampling beyond.
+The "stable" flag compares medians against fixed windows; the windows are
 heuristic desk-scale calibrations, nothing more.
 """
 
@@ -26,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import ALLOW_EQUAL_DEFAULT, is_sum_free, statistics_of
 from .enumeration import count_sum_free, stratified_counts
@@ -36,6 +35,8 @@ MIN_ACCEPTANCE = 1e-6
 EXACT_COUNT_LIMIT = 32  # universes this small get exact acceptance estimates
 PILOT_DRAWS = 200_000
 
+#: trend tables use exact strata up to this n, samples beyond it
+TREND_EXACT_LIMIT = 26
 #: heuristic windows for the scaled medians in trend tables
 TREND_ELL_WINDOW = (0.0, 6.0)
 TREND_K_WINDOW = (0.0, 8.0)
@@ -53,16 +54,10 @@ def acceptance_estimate(n: int, m: int, seed: int = 0, allow_equal: bool = ALLOW
 
 
 def draw_sum_free(
-    n: int,
-    m: int,
-    count: int,
-    seed: int,
-    allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    rng: Optional[random.Random] = None,
+    n: int, m: int, count: int, seed: int, allow_equal: bool = ALLOW_EQUAL_DEFAULT
 ) -> Iterable[frozenset]:
     """Yield `count` independent uniform sum-free m-subsets of {1, ..., n}."""
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     produced = 0
     while produced < count:
         candidate = frozenset(rng.sample(range(1, n + 1), m))
@@ -79,7 +74,6 @@ class SampleReport:
     m: int
     sample_count: int
     seed: int
-    workers: int
     histogram: dict[tuple[int, Fraction, bool], int]
     ell_quantiles: tuple
     k_quantiles: tuple
@@ -100,7 +94,6 @@ def sample_uniform(
     count: int,
     seed: int,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    workers: int = 1,
     min_acceptance: float = MIN_ACCEPTANCE,
 ) -> SampleReport:
     """Draw `count` uniform sum-free m-sets and report their statistics.
@@ -111,8 +104,8 @@ def sample_uniform(
     t0 = time.perf_counter()
     if not (0 <= m <= n):
         raise ValueError("need 0 <= m <= n")
-    if count < 0 or workers < 1:
-        raise ValueError("need count >= 0 and workers >= 1")
+    if count < 0:
+        raise ValueError("need count >= 0")
     rate = acceptance_estimate(n, m, seed=seed, allow_equal=allow_equal)
     if rate < min_acceptance:
         raise BudgetError(
@@ -120,19 +113,14 @@ def sample_uniform(
             "use exact enumeration instead",
             estimate=rate,
         )
-    master = random.Random(seed)
-    worker_seeds = [master.getrandbits(64) for _ in range(workers)]
-    quotas = [count // workers + (1 if i < count % workers else 0) for i in range(workers)]
-
     histogram: Counter = Counter()
     ells: list[int] = []
     ks: list[Fraction] = []
-    for wseed, quota in zip(worker_seeds, quotas):
-        for sample in draw_sum_free(n, m, quota, wseed, allow_equal):
-            st = statistics_of(sample, n)
-            histogram[(st.ell, st.k, st.odd_flag)] += 1
-            ells.append(st.ell)
-            ks.append(st.k)
+    for sample in draw_sum_free(n, m, count, random.Random(seed).getrandbits(64), allow_equal):
+        st = statistics_of(sample, n)
+        histogram[(st.ell, st.k, st.odd_flag)] += 1
+        ells.append(st.ell)
+        ks.append(st.k)
     ells.sort()
     ks.sort()
     return SampleReport(
@@ -140,7 +128,6 @@ def sample_uniform(
         m=m,
         sample_count=count,
         seed=seed,
-        workers=workers,
         histogram=dict(histogram),
         ell_quantiles=_quantiles(ells),
         k_quantiles=_quantiles(ks),
@@ -165,14 +152,14 @@ class TrendRow:
     stable: bool  # scaled medians inside the heuristic windows
 
 
-def _weighted_median(pairs: list[tuple]) -> Fraction:
-    """Median of a value -> weight table (smallest value reaching half mass)."""
-    total = sum(w for _, w in pairs)
+def _weighted_median(weights: dict, axis: int) -> Fraction:
+    """Median of coordinate `axis` of the keys of a key -> weight table (smallest value reaching half mass)."""
+    total = sum(weights.values())
     acc = 0
-    for v, w in sorted(pairs):
+    for key, w in sorted(weights.items(), key=lambda item: item[0][axis]):
         acc += w
         if 2 * acc >= total:
-            return Fraction(v)
+            return Fraction(key[axis])
     raise ValueError("empty distribution")
 
 
@@ -201,12 +188,11 @@ def structure_trend(
     count: int,
     seed: int,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    exact_limit: int = 26,
 ) -> list[TrendRow]:
     """Tabulate scaled low-part statistics across n.
 
-    For n <= exact_limit the distribution is the exact stratified count;
-    beyond that, `count` uniform samples are used.
+    For n <= TREND_EXACT_LIMIT the distribution is the exact stratified
+    count; beyond that, `count` uniform samples are used.
     """
     if any(n < 1 for n in n_list):
         raise ValueError("every n must be >= 1")
@@ -214,23 +200,14 @@ def structure_trend(
     rows = []
     for n in n_list:
         m = rule(n)
-        if n <= exact_limit:
-            table = stratified_counts(n, m, allow_equal=allow_equal)
-            ell_pairs = [(ell, c) for (ell, _k), c in table.joint.items()]
-            k_pairs = [(k, c) for (_ell, k), c in table.joint.items()]
-            method = "exact"
+        if n <= TREND_EXACT_LIMIT:
+            method, weights = "exact", stratified_counts(n, m, allow_equal=allow_equal).joint
         else:
-            report = sample_uniform(n, m, count, seed, allow_equal=allow_equal)
-            ell_pairs = Counter()
-            k_pairs = Counter()
-            for (ell, k, _odd), c in report.histogram.items():
-                ell_pairs[ell] += c
-                k_pairs[k] += c
-            ell_pairs = list(ell_pairs.items())
-            k_pairs = list(k_pairs.items())
-            method = "sampled"
-        ell_med = _weighted_median(ell_pairs)
-        k_med = _weighted_median(k_pairs)
+            method, weights = "sampled", Counter()  # (ell, k) -> samples
+            for (ell, k, _odd), c in sample_uniform(n, m, count, seed, allow_equal=allow_equal).histogram.items():
+                weights[ell, k] += c
+        ell_med = _weighted_median(weights, 0)
+        k_med = _weighted_median(weights, 1)
         ell_scaled = float(ell_med) * m / n
         k_scaled = float(k_med) * m**3 / n**3
         stable = (

@@ -288,21 +288,9 @@ def restricted_ratio_table(kmax: int = 90, ellmax: int = 12):
         lo = ell * (ell + 1) // 2
         for k in range(lo, kmax + 1):
             profile = sumset_size_profile(k, ell)
-            sizes = sorted(profile)
-            cum = []
-            acc = 0
-            for sz in sizes:
-                acc += profile[sz]
-                cum.append((sz, acc))
 
             def count_cap(cap):
-                best = 0
-                for sz, acc_count in cum:
-                    if sz <= cap:
-                        best = acc_count
-                    else:
-                        break
-                return best
+                return sum(c for size, c in profile.items() if size <= cap)
 
             for c in (2, 2.5, 3):
                 cap = int(c * k / ell)
@@ -419,11 +407,11 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(scale: str = "full", out=print) -> list[CheckResult]:
+def run_all(scale: str = "full") -> list[CheckResult]:
     results = []
     for fn in ALL_CHECKS:
         res = fn(scale)
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        out(f"[{status}] criterion {res.cid:>2}: {res.name} ({res.elapsed:.1f}s) - {res.detail}")
+        print(f"[{status}] criterion {res.cid:>2}: {res.name} ({res.elapsed:.1f}s) - {res.detail}")
     return results

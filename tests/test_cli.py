@@ -9,7 +9,7 @@ import pytest
 
 import sumfree
 
-from sumfree import enumeration
+from sumfree import cli, enumeration, verify
 from sumfree.cli import main
 
 RECORD_FIELDS = {"schema_version", "op", "params", "result", "elapsed_ms", "version", "timestamp"}
@@ -69,8 +69,6 @@ def test_invalid_usage_exits_2(capsys):
         "constant --n 10 --m -1 --count 5",
         "trend --n-list 12 --m-rule div:0",
         "trend --n-list 0 --count 10",
-        "sample --n 10 --m 3 --count 5 --threads 0",
-        "sample --n 10 --m 3 --count 5 --threads -1",
         "sample --n 10 --m 3 --count -5",
         "count --n -1",
         "strata --n -1 --m 1",
@@ -129,16 +127,48 @@ def test_cache_key_includes_format(tmp_path, capsys):
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sumfree.cfg"
-    cfg.write_text("# comment\nformat = table\nthreads = 1\n")
+    cfg.write_text("# comment\nformat = table\nseed = 3\n")
     code, out, _ = run(["count", "--n", "10", "--config", str(cfg)], capsys)
     assert code == 0
     assert not out.lstrip().startswith("{")  # table, not a record
     code, out, _ = run(["count", "--n", "10", "--config", str(cfg), "--format", "records"], capsys)
     assert out.lstrip().startswith("{")  # flag wins
-    for bad in ("colour = red\n", "threads = many\n", "no equals sign\n"):
+    for bad in ("colour = red\n", "seed = many\n", "no equals sign\n"):
         cfg.write_text(bad)
         code, _, err = run(["count", "--n", "10", "--config", str(cfg)], capsys)
         assert code == 2 and "error" in err
+
+
+def test_threads_flag_and_config_key_are_gone(tmp_path, capsys):
+    argv = ["sample", "--n", "12", "--m", "3", "--count", "5"]
+    code, out, _ = run(argv + ["--threads", "2"], capsys)
+    assert (code, out) == (2, "")
+    cfg = tmp_path / "sumfree.cfg"
+    cfg.write_text("threads = 1\n")
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert (code, out) == (2, "") and "error" in err
+
+
+def test_unusable_cache_exits_2_before_the_query(tmp_path, capsys, monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("query ran with an unusable cache")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "count_sum_free", refuse)
+        for cache in (not_a_dir, not_a_dir / "x"):
+            code, out, err = run(["count", "--n", "4", "--cache", str(cache)], capsys)
+            assert (code, out, len(err.splitlines())) == (2, "", 1), (cache, err)
+            assert err.startswith("error: ")
+
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", no_space)  # the cache entry cannot be written
+    code, out, err = run(["count", "--n", "4", "--cache", str(tmp_path / "cache")], capsys)
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
 
 
 def test_sample_embeds_seed(capsys):
@@ -209,12 +239,20 @@ def test_trend_csv(capsys):
     assert "ell_scaled" in lines[0]
 
 
-def test_verify_small_suite(capsys):
+def test_verify_small_suite(capsys, monkeypatch):
     code, out, _ = run(["verify", "--suite", "small"], capsys)
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("[")]
     assert len(lines) == 12
     assert all(line.startswith("[PASS]") for line in lines)
+
+    def failing(scale):
+        return verify.CheckResult("0", "planted failure", False, f"scale {scale}", 0.0)
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", [failing])
+    code, out, _ = run(["verify", "--suite", "small"], capsys)
+    assert code == 1
+    assert out == "[FAIL] criterion  0: planted failure (0.0s) - scale small\n"
 
 
 def test_cli_import_loads_no_process_pool():

@@ -34,13 +34,6 @@ def test_seed_determinism():
     assert c.histogram != a.histogram
 
 
-def test_worker_split_determinism():
-    a = sample_uniform(12, 4, 301, seed=7, workers=3)
-    b = sample_uniform(12, 4, 301, seed=7, workers=3)
-    assert a.histogram == b.histogram
-    assert sum(a.histogram.values()) == 301
-
-
 def test_infeasible_acceptance_is_refused():
     with pytest.raises(BudgetError) as err:
         sample_uniform(10, 5, 10, seed=0, min_acceptance=0.5)
