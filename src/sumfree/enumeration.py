@@ -6,21 +6,26 @@ mask of its three bits, in vectorized blocks of 2^16 subset masks.  It
 shares no code with the search, which has two engines, one per job: a
 memo for counts and a walk for strata and listings.
 
-count_sum_free picks elements in DESCENDING order while maintaining a
-forbidden bitmap: after choosing x, any smaller y with x + y already
-chosen, or with 2y = x under the default convention, is dead.  Every node
-of that tree is a sum-free set and every sum-free set occurs as exactly
-one node, but the nodes are not visited one by one.  The subtree below a
-state depends only on the allowed elements and on the chosen elements
-inside allowed + allowed: a later kill y + z = c needs both y and z
-allowed, so any other chosen element never matters again.  Each distinct
-state is solved once, as the by-size generating polynomial of its
-subtree packed into one integer (one n + 2 bit field per size).  The
-memo lives for one call and has two levels: one entry per allowed set,
-holding that set's sumset, computed once, and a table of the states that
-share the set.  A repeated state costs two dict lookups.  The states
-grow about 3x for each +4 in n, the sets about 4x; at n = 32 there are
-25,172 states on 11,520 allowed sets.
+count_sum_free picks elements in ASCENDING order, the order of the walk
+below, while maintaining the allowed bitmap: after choosing x, any larger
+c + x with c already chosen, or 2x under the default convention, is dead.
+Every node of that tree is a sum-free set and every sum-free set occurs
+as exactly one node, but the nodes are not visited one by one.  The
+subtree below a state depends only on the allowed elements and on the
+chosen elements inside allowed - allowed, the positive differences: a
+later kill c + y = z needs both y and z allowed, so any other chosen
+element never matters again.  A small chosen element is rarely such a
+difference, so many states share a key.  Each distinct state is solved
+once, as the by-size generating polynomial of its subtree packed into one
+integer (one n + 2 bit field per size).  The memo lives for one call and
+has two levels: one entry per allowed set, holding that set's difference
+set, computed once, and a table of the states that share the set.  A
+repeated state costs two dict lookups.  The states and the sets grow
+about 2.7x and 2.5x for each +4 in n; at n = 32 there are 12,442 states
+on 5,279 allowed sets (a descending search keyed on allowed + allowed
+needs 25,172 on 11,520).  A count that must cover more nodes than its
+budget, by a lower bound from the odd elements and the upper half, or
+recurse deeper than the interpreter allows, refuses before searching.
 
 Strata by the low-part statistics (ell, k, all-odd flag) and listings need
 the sets themselves, so stratified_counts and enumerate_sum_free share one
@@ -30,6 +35,7 @@ statistics incrementally.  Everything runs in one process.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,12 +46,12 @@ from typing import Iterator, Optional
 from .core import ALLOW_EQUAL_DEFAULT
 from .errors import BudgetError
 from .intset import IntSet, coerce_bits
-from .sumsets import sumsetbits
 
 DEFAULT_NODE_BUDGET = 2 * 10**8
 DEFAULT_STREAM_BUDGET = 10**6
 ORACLE_MAX_UNIVERSE = 24
 ORACLE_BLOCK = 1 << 16  # subset masks per vectorized pass; larger blocks fall out of cache
+STACK_HEADROOM = 100  # interpreter frames left to the callers of a count
 
 
 @dataclass
@@ -135,7 +141,18 @@ def count_oracle(
 
 
 # ----------------------------------------------------------------------
-# Counts: memoized subtree polynomials over the descending search
+# Counts: memoized subtree polynomials over the ascending search
+
+
+def _differences(bits: int) -> int:
+    """Bitmap of the positive differences {b - a : a < b} of the set with bitmap `bits`."""
+    out = 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        out |= rest >> (low.bit_length() - 1)  # the elements above a, shifted down by a
+    return out
 
 
 def _subtree(
@@ -145,28 +162,28 @@ def _subtree(
 
     Coefficient j (bits [j*width, (j+1)*width)) counts the subtree's
     sum-free sets with j more elements than the state, for j <= wanted.
-    Only chosen elements inside allowed + allowed matter below, so a
-    state is (allowed, chosen reduced to that sumset, wanted).  The memo
-    has one entry per allowed set: its sumset, computed once, and a table
-    from the reduced chosen and wanted, packed as chosen * width + wanted,
-    to the subtree's polynomial.  wanted is capped at |allowed|, which no
-    subtree exceeds, so it stays below width: a full profile keys on the
-    first two alone, and a fixed m reaches only states within m levels of
-    the root.  A subtree covering more than `budget` nodes refuses, with
-    its sets by size (from `size`) as partial.
+    Elements are chosen in ascending order, so `allowed` lies above every
+    chosen element, and choosing x kills c + x for each chosen c (and 2x by
+    convention).  Only chosen elements inside allowed - allowed matter
+    below, so a state is (allowed, chosen reduced to that difference set,
+    wanted).  The memo has one entry per allowed set: its difference set,
+    computed once, and a table from the reduced chosen and wanted, packed
+    as chosen * width + wanted, to the subtree's polynomial.  wanted is
+    capped at |allowed|, which no subtree exceeds, so it stays below width:
+    a full profile keys on the first two alone, and a fixed m reaches only
+    states within m levels of the root.  A subtree covering more than
+    `budget` nodes refuses, with its sets by size (from `size`) as partial.
     """
     acc = 0
     below = wanted - 1
     bits = allowed
     while bits:
-        x = bits.bit_length() - 1
-        xbit = 1 << x
+        xbit = bits & -bits
         bits ^= xbit
+        x = xbit.bit_length() - 1
         kept = chosen | xbit
-        # bits is allowed below x: drop y with y + x chosen, and x/2 by convention
-        child = bits & ~(kept >> x)
-        if allow_equal and not x & 1:
-            child &= ~(1 << (x >> 1))
+        # bits is allowed above x: drop c + x for each chosen c, and 2x by convention
+        child = bits & ~(kept << x if allow_equal else chosen << x)
         k = child.bit_count()
         r = k if k < below else below
         if r < 2:
@@ -174,9 +191,9 @@ def _subtree(
             continue
         entry = memo.get(child)
         if entry is None:
-            entry = memo[child] = (sumsetbits(child), {})
-        sums, table = entry
-        kept &= sums
+            entry = memo[child] = (_differences(child), {})
+        diffs, table = entry
+        kept &= diffs
         key = kept * width + r
         v = table.get(key)
         if v is None:
@@ -190,6 +207,36 @@ def _subtree(
             f"search node budget exceeded ({budget})", estimate=budget, partial=(by_size, None, nodes)
         )
     return value
+
+
+def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
+    """Refuse, before searching, a count the budget or the interpreter cannot reach.
+
+    Every subset of the universe's odd elements is sum-free under both
+    conventions, and so is every subset of its elements above half its
+    largest.  So the count covers at least sum_{j <= wanted} C(u, j) nodes,
+    u the larger of those two element counts, and it refuses as the memo
+    would, with that sum (its terms added until it passes the budget) in
+    partial.  The memo recurses once per chosen element, so it also refuses
+    when wanted exceeds the recursion limit less STACK_HEADROOM.
+    """
+    half = (ubits.bit_length() + 1) // 2  # elements >= half sum past the largest
+    odd = ubits & (((1 << 2 * half) - 1) // 3 << 1)  # bits 1, 3, ..., 2 * half - 1
+    u = max(odd.bit_count(), (ubits >> half).bit_count())
+    bound = term = 1
+    for j in range(1, min(u, wanted) + 1):
+        term = term * (u - j + 1) // j
+        bound += term
+        if bound > budget:
+            break
+    limit = sys.getrecursionlimit()
+    if bound > budget:
+        message = f"search node budget exceeded ({budget})"
+    elif wanted > limit - STACK_HEADROOM:
+        message = f"search depth {wanted} exceeds the interpreter's recursion limit ({limit})"
+    else:
+        return
+    raise BudgetError(message, estimate=budget, partial=({}, None, bound))
 
 
 def _coefficients(value: int, width: int) -> list[int]:
@@ -224,6 +271,7 @@ def count_sum_free(
         return CountResult(0, {}, "memo", 0.0, 0)
     width = n + 2  # a field holds any count <= 2^n, and so does the sum of all fields
     wanted = ubits.bit_count() if m is None else m
+    _refuse_unreachable(ubits, wanted, node_budget)
     memo: dict = {}
     value = _subtree(ubits, 0, wanted, memo, width, allow_equal, node_budget, 0)
     by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c and (m is None or j == m)}
@@ -233,7 +281,7 @@ def count_sum_free(
         method="memo",
         elapsed=time.perf_counter() - t0,
         nodes=value % ((1 << width) - 1),
-        states=sum(len(table) for _sums, table in memo.values()),
+        states=sum(len(table) for _diffs, table in memo.values()),
     )
 
 

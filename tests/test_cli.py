@@ -86,6 +86,9 @@ def test_budget_exit_3(capsys):
     for argv in (["strata", "--n", "20", "--m", "5"], ["window", "--n", "30", "--a", "3", "--m", "5"]):
         code, _, err = run(argv + ["--budget", "100"], capsys)
         assert code == 3 and "budget" in err
+    # far beyond the default budget: refused before the search, not by the interpreter's recursion limit
+    code, out, err = run(["count", "--n", "3000"], capsys)
+    assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:"), err
 
 
 def test_budget_zero_refuses(capsys):

@@ -4,6 +4,7 @@ import gc
 import json
 import pickle
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,7 @@ from sumfree import (
     statistics_of,
     stratified_counts,
 )
+from sumfree.enumeration import DEFAULT_NODE_BUDGET, _differences
 
 
 def test_oracle_examples():
@@ -172,13 +174,20 @@ def test_counts_leave_no_garbage_cycles():
 
 def test_memo_states_are_reported():
     # distinct states solved below the root; the oracle solves none
-    assert count_sum_free(32).states == 25_172
+    assert count_sum_free(32).states == 12_442
     assert count_oracle(12).states == 0
     for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
         first, again = count_sum_free(n, m), count_sum_free(n, m)
         assert first.states == again.states > 0, (n, m)
         assert first.states <= first.nodes, (n, m)
     assert count_sum_free(10, universe=[]).states == 0
+
+
+def test_differences_match_pairwise_differences():
+    # the memo's key reduction: every subset of {1, ..., 10}
+    for bits in range(0, 1 << 11, 2):
+        s = [v for v in range(1, 11) if bits >> v & 1]
+        assert _differences(bits) == sum(1 << d for d in {b - a for a in s for b in s if a < b}), s
 
 
 def test_search_fixed_m_agrees_with_profile():
@@ -248,6 +257,19 @@ def test_node_budget_is_global_across_threads():
             count_sum_free(20, threads=threads, node_budget=nodes - 1)
     with pytest.raises(BudgetError):
         count_sum_free(28, threads=2, node_budget=100_000)
+
+
+def test_hopeless_counts_refuse_before_searching():
+    # the odd elements alone make 2^28 > 2 * 10^8 sum-free sets of {1, ..., 56}
+    t0 = time.perf_counter()
+    for n in (56, 3000):
+        with pytest.raises(BudgetError) as err:
+            count_sum_free(n)
+        assert err.value.estimate == DEFAULT_NODE_BUDGET and err.value.partial[2] > DEFAULT_NODE_BUDGET, n
+    # a search deeper than the interpreter's recursion limit refuses whatever the budget
+    with pytest.raises(BudgetError):
+        count_sum_free(3000, node_budget=10**1000)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_budget_error_survives_pickling():
