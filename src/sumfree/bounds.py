@@ -199,6 +199,9 @@ def janson_quantities(family: Sequence, ground_size: int, draw_size: int) -> Jan
             (m/n)^|U_i union U_j|
     bound = max(e^(-mu/2), e^(-mu^2/(2 Delta))), second term dropped when
             Delta = 0.
+
+    Members are labels of ground elements, not necessarily 1..ground_size,
+    but the family as a whole must fit in the ground set.
     """
     sets = [frozenset(u) for u in family]
     if any(not u for u in sets):
@@ -206,6 +209,8 @@ def janson_quantities(family: Sequence, ground_size: int, draw_size: int) -> Jan
     n, m = ground_size, draw_size
     if not (0 <= m <= n) or n < 1:
         raise ValueError("need 0 <= draw_size <= ground_size and ground_size >= 1")
+    if len(frozenset().union(*sets)) > n:
+        raise ValueError(f"the family spans more than ground_size = {n} elements")
     q = m / n
     mu = 0.0
     for u in sets:

@@ -310,13 +310,20 @@ def _add_arguments(parser, specs):
         parser.add_argument(flag, default=default, required=required, help=help_text, **how)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a one-line usage error, like every other error here (`--help` shows the usage)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     """The parser; `config` values become the common flags' defaults, so flags win."""
     common = argparse.ArgumentParser(add_help=False)
     _add_arguments(common, COMMON)
     common.set_defaults(**(config or {}))
     description = "Exact enumeration and bounds for sum-free integer sets"
-    parser = argparse.ArgumentParser(prog="sumfree", description=description)
+    parser = _Parser(prog="sumfree", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():

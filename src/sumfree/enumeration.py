@@ -3,8 +3,8 @@
 count_oracle is the ground truth: it checks every subset of the universe
 (|universe| <= 24) against every relation x + y = z, each held as one
 mask of its three bits, in vectorized blocks of 2^16 subset masks.  It
-shares no code with the search, which has two engines, one per job: a
-memo for counts and a walk for strata and listings.
+shares no code with the search, which has two engines: a memo for counts
+and a walk for listings, and strata use both.
 
 count_sum_free picks elements in ASCENDING order, the order of the walk
 below, while maintaining the allowed bitmap: after choosing x, any larger
@@ -27,10 +27,16 @@ needs 25,172 on 11,520).  A count that must cover more nodes than its
 budget, by a lower bound from the odd elements and the upper half, or
 recurse deeper than the interpreter allows, refuses before searching.
 
-Strata by the low-part statistics (ell, k, all-odd flag) and listings need
-the sets themselves, so stratified_counts and enumerate_sum_free share one
-iterative walk that visits the nodes in ascending set order, keeping the
-statistics incrementally.  Everything runs in one process.
+Listings need the sets themselves, so enumerate_sum_free walks the nodes
+one by one in ascending set order, skipping branches that cannot reach
+size m.  Strata by the low-part statistics (ell, k, all-odd flag) need only
+the low part, the elements x with 2x <= n, and the ascending search chooses
+all of those before any high element.  So stratified_counts walks the
+sum-free low prefixes alone and reads the high completions of each from
+one count memo shared by all of them; an all-odd prefix kills only even
+numbers, so its all-odd completions are a binomial.  Strata budget the
+count's nodes and refuse before searching exactly when the count of the
+same size does.  Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Iterator, Optional
 
 from .core import ALLOW_EQUAL_DEFAULT
 from .errors import BudgetError
-from .intset import IntSet, coerce_bits
+from .intset import IntSet, coerce_bits, iter_bits
 
 DEFAULT_NODE_BUDGET = 2 * 10**8
 DEFAULT_STREAM_BUDGET = 10**6
@@ -209,7 +215,7 @@ def _subtree(
     return value
 
 
-def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
+def _refuse_unreachable(ubits: int, wanted: int, budget: int, joint: Optional[dict] = None) -> None:
     """Refuse, before searching, a count the budget or the interpreter cannot reach.
 
     Every subset of the universe's odd elements is sum-free under both
@@ -218,15 +224,15 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
     u the larger of those two element counts, and it refuses as the memo
     would, with that sum (its terms added until it passes the budget) in
     partial.  The memo recurses once per chosen element, so it also refuses
-    when wanted exceeds the recursion limit less STACK_HEADROOM.
+    when wanted exceeds the recursion limit less STACK_HEADROOM.  `joint` is
+    the partial's middle: None for a count, no strata yet ({}) for strata.
     """
     half = (ubits.bit_length() + 1) // 2  # elements >= half sum past the largest
     odd = ubits & (((1 << 2 * half) - 1) // 3 << 1)  # bits 1, 3, ..., 2 * half - 1
     u = max(odd.bit_count(), (ubits >> half).bit_count())
-    bound = term = 1
-    for j in range(1, min(u, wanted) + 1):
-        term = term * (u - j + 1) // j
-        bound += term
+    bound = 0
+    for j in range(min(u, wanted) + 1):
+        bound += comb(u, j)
         if bound > budget:
             break
     limit = sys.getrecursionlimit()
@@ -236,7 +242,7 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
         message = f"search depth {wanted} exceeds the interpreter's recursion limit ({limit})"
     else:
         return
-    raise BudgetError(message, estimate=budget, partial=({}, None, bound))
+    raise BudgetError(message, estimate=budget, partial=({}, joint, bound))
 
 
 def _coefficients(value: int, width: int) -> list[int]:
@@ -286,45 +292,41 @@ def count_sum_free(
 
 
 # ----------------------------------------------------------------------
-# Strata and listings: one walk over the ascending search
+# Listings and low prefixes: one walk over the ascending search
 
 
-def _walk(n: int, ubits: int, allow_equal: bool, m: Optional[int]) -> Iterator[tuple]:
-    """Yield every node (allowed, chosen, size, ell, 2k, odd) of the ascending search, in set order.
+def _walk(ubits: int, fixed: int, allow_equal: bool, m: Optional[int]) -> Iterator[tuple[int, int, int]]:
+    """Yield the nodes (allowed, chosen, size) of the ascending search in set order, choosing nothing in `fixed`.
 
     Elements are added in ascending order: choosing x kills c + x for each
     chosen c, and 2x by convention, so `allowed` holds the elements above
-    max(chosen) that keep the set sum-free.  With m given, branches that
-    cannot reach size m are skipped, and a node of size m - 1 yields its
-    size-m children directly (allowed 0) instead of stacking them.
+    max(chosen) that keep the set sum-free.  `fixed` lies above every other
+    element of ubits; its elements stay in `allowed` while alive but are
+    never chosen.  With m given, branches that cannot reach size m are
+    skipped, and a node of size m - 1 yields its size-m children directly
+    (allowed 0) instead of stacking them.
     """
-    stack = [(ubits, 0, 0, 0, 0, True)]
+    stack = [(ubits, 0, 0)]
     while stack:
-        node = stack.pop()
-        yield node
-        allowed, chosen, size, ell, twk, odd = node
+        allowed, chosen, size = stack.pop()
+        yield allowed, chosen, size
         if size == m:
             continue
+        free = allowed & ~fixed
         if m is not None and size == m - 1:
-            while allowed:
-                xbit = allowed & -allowed
-                allowed ^= xbit
-                x = xbit.bit_length() - 1
-                low = 2 * x <= n
-                yield 0, chosen | xbit, m, ell + low, twk + low * (n - 2 * x), odd and bool(x & 1)
+            for x in iter_bits(free):
+                yield 0, chosen | 1 << x, m
             continue
         need = -1 if m is None else m - size - 1
-        higher = 0  # allowed elements above x
-        while allowed:  # descending, so the smallest x is stacked last and walked first
-            x = allowed.bit_length() - 1
+        higher = allowed & fixed  # allowed elements above x
+        while free:  # descending, so the smallest x is stacked last and walked first
+            x = free.bit_length() - 1
             xbit = 1 << x
-            allowed ^= xbit
+            free ^= xbit
             child = higher & ~((chosen | xbit) << x if allow_equal else chosen << x)
             higher |= xbit
-            if child.bit_count() < need:
-                continue
-            low = 2 * x <= n
-            stack.append((child, chosen | xbit, size + 1, ell + low, twk + low * (n - 2 * x), odd and bool(x & 1)))
+            if child.bit_count() >= need:
+                stack.append((child, chosen | xbit, size + 1))
 
 
 def enumerate_sum_free(
@@ -345,8 +347,8 @@ def enumerate_sum_free(
             f"enumeration would stream {expected} sets (> budget {stream_budget})",
             estimate=expected,
         )
-    nodes = _walk(n, _universe_bits(n, universe), allow_equal, m)
-    return (IntSet.from_bits(n, node[1]) for node in nodes if m is None or node[2] == m)
+    nodes = _walk(_universe_bits(n, universe), 0, allow_equal, m)
+    return (IntSet.from_bits(n, chosen) for _allowed, chosen, size in nodes if m is None or size == m)
 
 
 # ----------------------------------------------------------------------
@@ -406,10 +408,8 @@ class StratifiedCounts:
     odd_joint: dict[tuple[int, Fraction], int] = field(default_factory=dict)
 
     def marginal_ell(self) -> dict[int, int]:
-        out: Counter = Counter()
-        for (ell, _k), c in self.joint.items():
-            out[ell] += c
-        return dict(sorted(out.items()))
+        ells = sorted({ell for ell, _k in self.joint})
+        return {ell: sum(c for (e, _k), c in self.joint.items() if e == ell) for ell in ells}
 
 
 def stratified_counts(
@@ -420,20 +420,37 @@ def stratified_counts(
 ) -> StratifiedCounts:
     """Exact joint (ell, k) distribution of sum-free m-subsets of {1, ..., n}.
 
-    Refuses with BudgetError once the walk has visited more than node_budget
-    nodes; the partial tallies are (by_size, (size, ell, 2k, odd) strata, nodes).
+    ell, k and the all-odd flag of the low part depend only on the elements
+    x with 2x <= n, which the ascending search chooses before any high one.
+    So the walk chooses low elements only, and the high completions of each
+    low prefix are coefficient m - |prefix| of its subtree on the count memo;
+    an all-odd prefix kills only even numbers, so C(odd high allowed,
+    m - |prefix|) of them are all odd.  The budget is in the units of
+    count_sum_free(n, m), the nodes covered, summed over the prefixes, and
+    it refuses before searching exactly when that count does.  A refusal's
+    partial is (by_size, (ell, k) -> count so far, nodes).
     """
-    strata: Counter = Counter()
-    for nodes, node in enumerate(_walk(n, _universe_bits(n, None, m), allow_equal, m), 1):
-        if nodes > node_budget:
-            partial = ({m: sum(strata.values())} if strata else {}, dict(strata), nodes)
-            raise BudgetError(f"search node budget exceeded ({node_budget})", estimate=node_budget, partial=partial)
-        if node[2] == m:
-            strata[node[2:]] += 1
-    table = StratifiedCounts(n=n, m=m, total=sum(strata.values()))
-    for (_size, ell, twk, odd), c in strata.items():
-        key = (ell, Fraction(twk, 2))
-        table.joint[key] = table.joint.get(key, 0) + c
-        if odd:
-            table.odd_joint[key] = table.odd_joint.get(key, 0) + c
-    return table
+    ubits = _universe_bits(n, None, m)
+    if m > n:
+        return StratifiedCounts(n=n, m=m, total=0)
+    _refuse_unreachable(ubits, m, node_budget, joint={})
+    high = ubits >> n // 2 + 1 << n // 2 + 1  # the elements x with 2x > n
+    odd = sum(1 << x for x in range(1, n + 1, 2))
+    width = n + 2
+    field = (1 << width) - 1
+    memo: dict = {}
+    joint, odd_joint = Counter(), Counter()
+    nodes = 0
+    try:
+        for allowed, chosen, size in _walk(ubits, high, allow_equal, m):
+            # _subtree reduces chosen in its children's keys; the budget left bounds this prefix's subtree
+            value = _subtree(allowed & high, chosen, m - size, memo, width, allow_equal, node_budget - nodes, size)
+            nodes += value % field  # the sum of the coefficients
+            key = (size, Fraction(size * n - 2 * sum(iter_bits(chosen)), 2))  # ell, and k = sum (n/2 - x)
+            joint[key] += value >> width * (m - size) & field
+            if not chosen & ~odd:
+                odd_joint[key] += comb((allowed & high & odd).bit_count(), m - size)
+    except BudgetError as err:
+        partial = ({m: sum(joint.values())} if +joint else {}, dict(+joint), nodes + err.partial[2])
+        raise BudgetError(f"search node budget exceeded ({node_budget})", node_budget, partial) from None
+    return StratifiedCounts(n, m, sum(joint.values()), dict(+joint), dict(+odd_joint))

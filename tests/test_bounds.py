@@ -122,6 +122,15 @@ def test_janson_examples():
     assert jq.delta.is_zero
 
 
+def test_janson_refuses_a_family_larger_than_the_ground():
+    # no 3-set lies inside a 2-element ground, so mu would be 0, not (2/2)^3 = 1
+    for family, ground in (([{1, 2, 3}], 2), ([{1, 2}, {3, 4}, {5}], 4)):
+        with pytest.raises(ValueError):
+            janson_quantities(family, ground, ground)
+    # labels are abstract: a family of 4 labels above the ground's size fits a ground of 4
+    assert janson_quantities([{11, 13}, {15, 17}], 4, 2).mu.close(LogValue.of(0.5))
+
+
 def test_janson_schur_pair_construction():
     # pairs {x, y} of odd numbers with x + y or x - y landing in S = {2}
     n = 10

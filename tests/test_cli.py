@@ -63,6 +63,7 @@ def test_invalid_usage_exits_2(capsys):
         "window --n 10 --a 1 --m 20",
         "restricted --k 10",
         "janson --family 1,2 --ground 0 --draw 0",
+        "janson --family 1,2,3 --ground 2 --draw 2",
         "bounds --name CEthm --n 10 --m 0 --bigc 1",
         "constant --n 0 --m 1 --count 5",
         "constant --n 10 --m 20 --count 5",
@@ -87,8 +88,9 @@ def test_budget_exit_3(capsys):
         code, _, err = run(argv + ["--budget", "100"], capsys)
         assert code == 3 and "budget" in err
     # far beyond the default budget: refused before the search, not by the interpreter's recursion limit
-    code, out, err = run(["count", "--n", "3000"], capsys)
-    assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:"), err
+    for argv in (["count", "--n", "3000"], ["strata", "--n", "3000", "--m", "4"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:"), (argv, err)
 
 
 def test_budget_zero_refuses(capsys):
@@ -265,3 +267,28 @@ def test_cli_import_loads_no_process_pool():
     env = {"PYTHONPATH": str(Path(sumfree.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+SMALL = {"--n": "8", "--ground": "4", "--count": "5", "--n-list": "8,10", "--family": "1,2|2,3", "--delta": "1/4"}
+
+
+def _small(spec):
+    """A small valid value of a required argument: from SMALL, else the first choice, 2 or the list 1,2."""
+    flag, kind = spec[:2]
+    return SMALL.get(flag) or (kind[0] if isinstance(kind, tuple) else "2" if kind is int else "1,2")
+
+
+def test_boundary_values_exit_cleanly(capsys):
+    # every argument of every subcommand in turn at a boundary value, the required others small and valid
+    for name, command in cli.COMMANDS.items():
+        specs = [spec for spec in command.args if spec[1] is not bool]
+        if "budget" in command.run.values():
+            specs.append(("--budget", int))
+        base = {spec[0]: _small(spec) for spec in specs if spec[3:4] == (True,)}
+        for spec in specs:
+            lists = spec[1] in (cli._parse_values, cli._parse_family)
+            for value in ("-1", "0", "", "nan") + (("1:0",) if lists else ()):
+                args = {**base, "--budget": "10000", spec[0]: value}
+                argv = [name] + [f"{flag}={v}" for flag, v in args.items()]
+                code, _, err = run(argv, capsys)
+                assert code in (0, 2, 3) and len(err.splitlines()) <= 1, (argv, code, err)

@@ -26,6 +26,7 @@ CASES = [
     "count --n 12 --m 4 --distinct-only",
     "enumerate --n 7 --m 3",
     "strata --n 12 --m 4",
+    "strata --n 12 --m 4 --distinct-only",
     "window --n 16 --a 2 --m 4",
     "partitions --k 30",
     "partitions --k 30 --ell 4",

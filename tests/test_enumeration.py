@@ -262,10 +262,12 @@ def test_node_budget_is_global_across_threads():
 def test_hopeless_counts_refuse_before_searching():
     # the odd elements alone make 2^28 > 2 * 10^8 sum-free sets of {1, ..., 56}
     t0 = time.perf_counter()
-    for n in (56, 3000):
+    queries = [lambda n=n: count_sum_free(n) for n in (56, 3000)]
+    queries += [lambda: stratified_counts(3000, 4), lambda: stratified_counts(56, 28)]
+    for query in queries:
         with pytest.raises(BudgetError) as err:
-            count_sum_free(n)
-        assert err.value.estimate == DEFAULT_NODE_BUDGET and err.value.partial[2] > DEFAULT_NODE_BUDGET, n
+            query()
+        assert err.value.estimate == DEFAULT_NODE_BUDGET and err.value.partial[2] > DEFAULT_NODE_BUDGET
     # a search deeper than the interpreter's recursion limit refuses whatever the budget
     with pytest.raises(BudgetError):
         count_sum_free(3000, node_budget=10**1000)
@@ -314,13 +316,30 @@ def oracle_strata(n, m, allow_equal=True):
 
 
 def test_stratified_counts_against_subset_oracle():
+    queries = [(n, m) for n in range(1, 15) for m in range(0, n + 1)] + [(18, 5), (20, 6)]
     for allow_equal in (True, False):
-        for n in range(1, 15):
+        for n, m in queries:
+            table = stratified_counts(n, m, allow_equal=allow_equal)
+            joint, odd_joint = oracle_strata(n, m, allow_equal)
+            assert (table.joint, table.odd_joint) == (joint, odd_joint), (allow_equal, n, m)
+            assert sum(joint.values()) == table.total == count_sum_free(n, m, allow_equal=allow_equal).total
+
+
+def test_strata_fit_in_the_budget_of_the_count():
+    # strata cover at most the nodes of the count of the same size, and at least its sets of size m
+    for allow_equal in (True, False):
+        for n in range(0, 13):
             for m in range(0, n + 1):
-                table = stratified_counts(n, m, allow_equal=allow_equal)
-                joint, odd_joint = oracle_strata(n, m, allow_equal)
-                assert (table.joint, table.odd_joint) == (joint, odd_joint), (allow_equal, n, m)
-                assert sum(joint.values()) == table.total == count_sum_free(n, m, allow_equal=allow_equal).total
+                count = count_sum_free(n, m, allow_equal=allow_equal)
+                table = stratified_counts(n, m, allow_equal=allow_equal, node_budget=count.nodes)
+                assert table.total == count.total, (allow_equal, n, m)
+                if count.total:
+                    with pytest.raises(BudgetError) as err:
+                        stratified_counts(n, m, allow_equal=allow_equal, node_budget=count.total - 1)
+                    by_size, joint, nodes = err.value.partial
+                    assert nodes >= count.total and by_size.get(m, 0) == sum(joint.values()) <= count.total
+    # an m above n covers nothing and refuses nothing, as for counts
+    assert stratified_counts(60, 61).total == count_sum_free(60, 61).total == 0
 
 
 def test_strata_budget_refuses_with_partial_tallies():
