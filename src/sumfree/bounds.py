@@ -285,6 +285,14 @@ def build_pair_graph(n: int, s_values, excluded=()) -> PairGraph:
 
 
 LN2 = log(2.0)
+#: the parameters each named bound needs
+RHS_PARAMS = {
+    "CEthm": ("n", "m", "C"),
+    "S+S": ("k", "ell", "c", "delta"),
+    "S+S2": ("ell", "lam", "delta"),
+    "parts": ("k", "ell"),
+    "conj": ("N", "m", "delta"),
+}
 
 
 def theorem_rhs(name: str, **params) -> LogValue:
@@ -295,7 +303,18 @@ def theorem_rhs(name: str, **params) -> LogValue:
     S+S2  : 2^(delta l) * ((4 lam - 3) e / 6)^l    params ell, lam, delta (k ignored)
     parts : (e^2 k / l^2)^l                        params k, ell
     conj  : 2^(delta m) * C(N/2, m)                params N, m, delta
+
+    A missing parameter or a non-finite float one raises ValueError.
     """
+    if name not in RHS_PARAMS:
+        raise ValueError(f"unknown bound name {name!r}")
+    needs = RHS_PARAMS[name]
+    missing = [p for p in needs if params.get(p) is None]
+    if missing:
+        raise ValueError(f"{name} needs {', '.join(needs)}; missing {', '.join(missing)}")
+    for p in needs:
+        if isinstance(params[p], float) and not math.isfinite(params[p]):
+            raise ValueError(f"{name} needs a finite {p}, not {params[p]}")
     if name == "CEthm":
         n, m, c = params["n"], params["m"], params["C"]
         if m < 1:
@@ -316,10 +335,8 @@ def theorem_rhs(name: str, **params) -> LogValue:
         if k == 0:
             return LogValue(-inf)
         return LogValue(ell * (2 + log(k) - 2 * log(ell)))
-    if name == "conj":
-        cap_n, m, delta = params["N"], params["m"], params["delta"]
-        return LogValue(delta * m * LN2) * log_binom_real(cap_n / 2, m)
-    raise ValueError(f"unknown bound name {name!r}")
+    cap_n, m, delta = params["N"], params["m"], params["delta"]  # conj
+    return LogValue(delta * m * LN2) * log_binom_real(cap_n / 2, m)
 
 
 def empirical_constant(n: int, m: int, exact_count: int) -> Optional[float]:

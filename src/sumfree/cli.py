@@ -167,8 +167,8 @@ def _restricted(ratio_table=False, **q):
 
 
 def _smallsumset(n, m, cap, delta, **budget):
+    rhs = bounds.theorem_rhs("conj", N=cap, m=m, delta=delta).log  # first: a bad --delta refuses before counting
     count = partitions.count_small_sumset_sets(n, m, cap, **budget)
-    rhs = bounds.theorem_rhs("conj", N=cap, m=m, delta=delta).log
     return {"count": count, "rhs_log": rhs, "log_ratio": None if count == 0 else LogValue.of(count).log - rhs}
 
 

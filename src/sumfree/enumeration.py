@@ -17,15 +17,22 @@ later kill c + y = z needs both y and z allowed, so any other chosen
 element never matters again.  A small chosen element is rarely such a
 difference, so many states share a key.  Each distinct state is solved
 once, as the by-size generating polynomial of its subtree packed into one
-integer (one n + 2 bit field per size).  The memo lives for one call and
-has two levels: one entry per allowed set, holding that set's difference
-set, computed once, and a table of the states that share the set.  A
-repeated state costs two dict lookups.  The states and the sets grow
-about 2.7x and 2.5x for each +4 in n; at n = 32 there are 12,442 states
-on 5,279 allowed sets (a descending search keyed on allowed + allowed
-needs 25,172 on 11,520).  A count that must cover more nodes than its
-budget, by a lower bound from the odd elements and the upper half, or
-recurse deeper than the interpreter allows, refuses before searching.
+integer (one n + 2 bit field per size).  Most states are upper: their
+allowed set has 2 min > max, as the top half of {1, ..., n} does, so no
+two allowed elements sum to a third and only the chosen gaps matter.  An
+upper state counts the subsets of its allowed set with no two elements a
+gap apart; it is keyed on its canonical translate, the one starting at
+span + 1 (every gapless set of size k on {k, ..., 2k - 1}), and solved by
+branching on its minimum.  The other states loop over every allowed
+element.  The memo lives for one call and has two levels: one entry per
+allowed set, holding that set's difference set, computed once, and a
+table of the states that share the set.  A repeated state costs two dict
+lookups.  At n = 32 there are 14,430 states, 913 of them not upper, on
+3,728 allowed sets, and the states grow about 2.8x for each +4 in n; the
+ascending loop alone needed 12,442, but each took about 7 children.  A
+count that must cover more nodes than its budget, by a lower bound from
+the odd elements and the upper half, or recurse deeper than the
+interpreter allows, refuses before searching.
 
 Listings need the sets themselves, so enumerate_sum_free walks the nodes
 one by one in ascending set order, skipping branches that cannot reach
@@ -47,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NoReturn, Optional
 
 from .core import ALLOW_EQUAL_DEFAULT
 from .errors import BudgetError
@@ -177,8 +184,10 @@ def _subtree(
     as chosen * width + wanted, to the subtree's polynomial.  wanted is
     capped at |allowed|, which no subtree exceeds, so it stays below width:
     a full profile keys on the first two alone, and a fixed m reaches only
-    states within m levels of the root.  A subtree covering more than
-    `budget` nodes refuses, with its sets by size (from `size`) as partial.
+    states within m levels of the root.  A child that is upper goes to
+    _upper, which keys it on its canonical translate in the same memo.  A
+    subtree covering more than `budget` nodes refuses, with its sets by
+    size (from `size`) as partial.
     """
     acc = 0
     below = wanted - 1
@@ -195,6 +204,9 @@ def _subtree(
         if r < 2:
             acc += 1 if r < 1 else 1 + (k << width)
             continue
+        if 2 * ((child & -child).bit_length() - 1) >= child.bit_length():  # 2 min(child) > max(child)
+            acc += _upper(child, kept, r, memo, width, budget, size + 1)
+            continue
         entry = memo.get(child)
         if entry is None:
             entry = memo[child] = (_differences(child), {})
@@ -206,12 +218,76 @@ def _subtree(
             v = table[key] = _subtree(child, kept, r, memo, width, allow_equal, budget, size + 1)
         acc += v
     value = 1 + ((acc << width) & ((1 << width * (wanted + 1)) - 1))
-    nodes = value % ((1 << width) - 1)  # the sum of the coefficients
-    if nodes > budget:
-        by_size = {size + j: c for j, c in enumerate(_coefficients(value, width)) if c}
-        raise BudgetError(
-            f"search node budget exceeded ({budget})", estimate=budget, partial=(by_size, None, nodes)
-        )
+    if value % ((1 << width) - 1) > budget:  # the sum of the coefficients
+        _refuse(value, width, budget, size)
+    return value
+
+
+def _refuse(value: int, width: int, budget: int, size: int) -> NoReturn:
+    """Refuse a subtree that covers more than `budget` nodes, with its sets by size as partial."""
+    by_size = {size + j: c for j, c in enumerate(_coefficients(value, width)) if c}
+    nodes = sum(by_size.values())
+    raise BudgetError(f"search node budget exceeded ({budget})", estimate=budget, partial=(by_size, None, nodes))
+
+
+def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget: int, size: int) -> int:
+    """By-size polynomial of an upper state: one whose allowed set has 2 min > max.
+
+    No sum of two allowed elements is allowed, and every element chosen
+    below exceeds the span, so the subtree counts the subsets of `allowed`
+    with no two elements a gap apart, the gaps being the chosen elements
+    inside allowed - allowed; neither convention matters.  The state is
+    solved on the minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)),
+    which is (1 + y) P(A - a) when a + gaps misses A.  The exclude chain
+    A, A - a, ... runs in a loop down to a solved state, and its states are
+    stored on the way back, so only the include branch recurses and the
+    depth stays within `wanted`, as in _subtree.  wanted is capped at
+    |allowed| and is at least 2.
+    """
+    chain = []
+    while True:
+        # the key: the canonical translate, starting at span + 1, and the gaps inside its differences;
+        # a set that no gap fits in counts as freely as any other of its size, so it is keyed on {k, ..., 2k - 1}
+        if gaps:
+            allowed >>= 2 * ((allowed & -allowed).bit_length() - 1) - allowed.bit_length()
+            entry = memo.get(allowed)
+            if entry is None:
+                entry = memo[allowed] = (_differences(allowed), {})
+            gaps &= entry[0]
+        if not gaps:
+            k = allowed.bit_count()
+            allowed = ((1 << k) - 1) << k
+            entry = memo.get(allowed)
+            if entry is None:
+                entry = memo[allowed] = ((1 << k) - 2, {})  # differences 1, ..., k - 1
+        table = entry[1]
+        key = gaps * width + wanted
+        value = table.get(key)
+        if value is not None:
+            break
+        abit = allowed & -allowed
+        rest = allowed ^ abit
+        hit = rest & (gaps << (abit.bit_length() - 1))
+        include = None
+        if hit:
+            rest_in = rest ^ hit
+            k = rest_in.bit_count()
+            r = k if k < wanted - 1 else wanted - 1
+            include = 1 + (k << width) if r < 2 else _upper(rest_in, gaps, r, memo, width, budget, size + 1)
+        chain.append((table, key, wanted, include))
+        k = rest.bit_count()
+        if k < wanted:
+            wanted = k
+        if wanted < 2:
+            value = 1 + (k << width)
+            break
+        allowed = rest
+    field = (1 << width) - 1
+    for table, key, wanted, include in reversed(chain):
+        value += (value if include is None else include) << width
+        value = table[key] = value & (1 << width * (wanted + 1)) - 1
+        if value % field > budget:  # the sum of the coefficients
+            _refuse(value, width, budget, size)
     return value
 
 

@@ -205,6 +205,18 @@ def test_theorem_rhs_forms():
         theorem_rhs("nope", x=1)
 
 
+def test_theorem_rhs_refuses_missing_and_non_finite_parameters():
+    with pytest.raises(ValueError, match="CEthm needs n, m, C; missing n"):
+        theorem_rhs("CEthm", m=3, C=1.0)
+    with pytest.raises(ValueError, match="S[+]S2 needs ell, lam, delta; missing lam, delta"):
+        theorem_rhs("S+S2", ell=3, lam=None)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite delta"):
+            theorem_rhs("conj", N=20, m=3, delta=value)
+        with pytest.raises(ValueError, match="finite C"):
+            theorem_rhs("CEthm", n=10, m=3, C=value)
+
+
 def test_empirical_constant_examples():
     assert abs(empirical_constant(10, 3, comb(5, 3))) < 1e-12
     assert math.isclose(empirical_constant(4, 2, 4), 1.0)

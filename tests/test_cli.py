@@ -65,6 +65,8 @@ def test_invalid_usage_exits_2(capsys):
         "janson --family 1,2 --ground 0 --draw 0",
         "janson --family 1,2,3 --ground 2 --draw 2",
         "bounds --name CEthm --n 10 --m 0 --bigc 1",
+        "smallsumset --n 10 --m 3 --cap 12 --delta nan",
+        "smallsumset --n 10 --m 3 --cap 12 --delta inf",
         "constant --n 0 --m 1 --count 5",
         "constant --n 10 --m 20 --count 5",
         "constant --n 10 --m -1 --count 5",
@@ -231,6 +233,12 @@ def test_bounds_and_inequalities_and_constant(capsys):
     assert json.loads(out)["result"]["passed"] is True
     _, out, _ = run(["constant", "--n", "4", "--m", "2", "--count", "4"], capsys)
     assert json.loads(out)["result"]["c_star"] == pytest.approx(1.0)
+
+
+def test_bounds_name_the_missing_parameter(capsys):
+    for argv, missing in (("--m 3 --bigc 1", "n"), ("--n 10 --bigc 1", "m"), ("--n 10", "m, C")):
+        code, out, err = run(["bounds", "--name", "CEthm", *argv.split()], capsys)
+        assert (code, out, err) == (2, "", f"error: CEthm needs n, m, C; missing {missing}\n"), argv
 
 
 def test_trend_csv(capsys):

@@ -4,6 +4,7 @@ import gc
 import json
 import pickle
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from sumfree import (
     statistics_of,
     stratified_counts,
 )
-from sumfree.enumeration import DEFAULT_NODE_BUDGET, _differences
+from sumfree.enumeration import DEFAULT_NODE_BUDGET, _differences, _upper
 
 
 def test_oracle_examples():
@@ -174,13 +175,65 @@ def test_counts_leave_no_garbage_cycles():
 
 def test_memo_states_are_reported():
     # distinct states solved below the root; the oracle solves none
-    assert count_sum_free(32).states == 12_442
+    assert count_sum_free(32).states == 14_430
     assert count_oracle(12).states == 0
     for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
         first, again = count_sum_free(n, m), count_sum_free(n, m)
         assert first.states == again.states > 0, (n, m)
         assert first.states <= first.nodes, (n, m)
     assert count_sum_free(10, universe=[]).states == 0
+
+
+def gap_avoiding_sizes(elements, gaps):
+    # subsets of `elements` with no two elements a gap apart, by size
+    sizes = Counter()
+    for size in range(len(elements) + 1):
+        for s in combinations(elements, size):
+            bits = sum(1 << v for v in s)
+            if not any(bits & bits >> g for g in gaps):
+                sizes[size] += 1
+    return sizes
+
+
+def test_upper_solver_counts_gap_avoiding_subsets():
+    # an upper set (2 min > max) with random gaps, some above its span, on one memo and on a fresh one
+    rng = random.Random(13)
+    width = 42
+    shared = {}
+    for _ in range(150):
+        lo = rng.randint(2, 39)
+        hi = min(40, 2 * lo - 1)
+        elements = sorted(rng.sample(range(lo, hi + 1), min(hi - lo + 1, rng.randint(2, 11))))
+        gaps = [g for g in range(1, 41) if rng.random() < 0.15]
+        sizes = gap_avoiding_sizes(elements, gaps)
+        wanted = rng.randint(2, len(elements))
+        want = [sizes[j] for j in range(wanted + 1)]
+        allowed = sum(1 << v for v in elements)
+        for memo in (shared, {}):
+            value = _upper(allowed, sum(1 << g for g in gaps), wanted, memo, width, 2**40, 0)
+            got = [value >> width * j & (1 << width) - 1 for j in range(wanted + 1)]
+            assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, gaps, wanted)
+
+
+def test_upper_universes_match_oracle():
+    # every universe {lo, ..., n} with 2 lo > n: the root's children are all upper
+    for allow_equal in (True, False):
+        for n in range(1, 23):
+            for lo in range(n // 2 + 1, n + 1):
+                universe = range(lo, n + 1)
+                want = count_oracle(n, universe=universe, allow_equal=allow_equal)
+                got = count_sum_free(n, universe=universe, allow_equal=allow_equal)
+                assert (got.by_size, got.nodes) == (want.by_size, want.total), (allow_equal, n, lo)
+
+
+def test_search_depth_stays_within_the_set_size():
+    # the recursion follows the chosen elements, not the universe: 3 levels fit under a limit of 400
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        assert count_sum_free(900, 3, node_budget=10**12).total == 120_489_675
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_differences_match_pairwise_differences():
