@@ -33,8 +33,8 @@ for (ell, k), c in top:
     print(f"  {ell:>4} {str(k):>6} {c:>7} {table.odd_joint.get((ell, k), 0):>8}")
 
 print()
-print("A uniform sampler reproduces the same histogram (rejection sampling,")
-print("every accepted draw exactly uniform):")
+print("A uniform sampler reproduces the same histogram (exact, by unranking")
+print("on the count memo, so every draw is exactly uniform):")
 rep = sample_uniform(n, m, 20_000, seed=1)
 sampled_ell = Counter()
 for (ell, _k, _odd), c in rep.histogram.items():

@@ -12,7 +12,8 @@ The package models subsets of {1, ..., n} as bitmaps and provides:
   sum-free m-subsets, with a brute-force oracle (enumeration);
 - log-domain bound formulas, binomial and tail-sum inequalities, moment
   quantities and forbidden-pair graphs (bounds);
-- uniform rejection sampling and structure trend tables (sampling).
+- uniform sampling, exact by unranking on the count memo, and structure
+  trend tables (sampling).
 
 The `sumfree` command line exposes all of it; `sumfree verify` runs the
 acceptance checks.

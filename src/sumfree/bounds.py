@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .intset import IntSet, coerce_bits, iter_bits
 
 REL_TOL = 1e-9
+GAMMA_MAX_TERMS = 10**5  # check_gamma_sum adds more than a / b terms, and refuses more than this
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,13 @@ def check_gamma_sum(a: int, b: float, cap: float = 2.0) -> GammaSumCheck:
     """Sum j^a e^(-bj) to convergence and compare with cap * Gamma(a+1)/b^(a+1).
 
     Terms are added until they drop below 1e-15 of the partial sum (and the
-    summand is already decreasing).
+    summand is already decreasing, past j = a/b), so a b below
+    a / GAMMA_MAX_TERMS is refused before summing.
     """
-    if a < 1 or b <= 0:
-        raise ValueError("need a >= 1 and b > 0")
+    if a < 1 or not 0 < b < inf:
+        raise ValueError(f"need a >= 1 and a finite b > 0, not a = {a}, b = {b}")
+    if a / b > GAMMA_MAX_TERMS:
+        raise ValueError(f"b = {b} too small: the sum needs over a / b = {a / b:.3g} terms (at most {GAMMA_MAX_TERMS})")
     total = 0.0
     j = 1
     while True:
@@ -293,6 +297,13 @@ RHS_PARAMS = {
     "parts": ("k", "ell"),
     "conj": ("N", "m", "delta"),
 }
+#: the range of each parameter that a bound takes the log of: (lowest value, whether that value is allowed)
+RHS_RANGES = {
+    "CEthm": {"m": (1, True)},
+    "S+S": {"k": (0, False), "ell": (0, True), "c": (0, False)},
+    "S+S2": {"ell": (0, True), "lam": (0.75, False)},
+    "parts": {"k": (0, True), "ell": (0, True)},
+}
 
 
 def theorem_rhs(name: str, **params) -> LogValue:
@@ -304,7 +315,9 @@ def theorem_rhs(name: str, **params) -> LogValue:
     parts : (e^2 k / l^2)^l                        params k, ell
     conj  : 2^(delta m) * C(N/2, m)                params N, m, delta
 
-    A missing parameter or a non-finite float one raises ValueError.
+    A missing parameter, a non-finite float one, or one outside its range
+    in RHS_RANGES (where the formula would take the log of a value <= 0)
+    raises ValueError naming the parameter and its range.
     """
     if name not in RHS_PARAMS:
         raise ValueError(f"unknown bound name {name!r}")
@@ -315,10 +328,11 @@ def theorem_rhs(name: str, **params) -> LogValue:
     for p in needs:
         if isinstance(params[p], float) and not math.isfinite(params[p]):
             raise ValueError(f"{name} needs a finite {p}, not {params[p]}")
+    for p, (low, closed) in RHS_RANGES.get(name, {}).items():
+        if not (params[p] >= low if closed else params[p] > low):
+            raise ValueError(f"{name} needs {p} {'>=' if closed else '>'} {low}, not {params[p]}")
     if name == "CEthm":
         n, m, c = params["n"], params["m"], params["C"]
-        if m < 1:
-            raise ValueError("CEthm needs m >= 1")
         return LogValue(c * n / m * LN2) * log_binom((n + 1) // 2, m)
     if name == "S+S":
         k, ell, c, delta = params["k"], params["ell"], params["c"], params["delta"]

@@ -286,8 +286,8 @@ COMMANDS = {
         params=lambda q: {"kind": "gamma", "a": q["a"], "b": q["gamma_b"]} if q["kind"] == "gamma"
         else {"kind": "binom", "a": q["a"], "b": q["b"], "c": q["c"], "d": q["d"] or 0}),
     "sample": Command(
-        "uniform random sum-free m-sets by rejection", (N, M, ("--count", int, None, True), DISTINCT),
-        sampling.sample_uniform, common=("seed",),
+        "uniform random sum-free m-sets, exact by unranking on the count memo",
+        (N, M, ("--count", int, None, True), DISTINCT), sampling.sample_uniform, common=("seed",), run=SEARCH,
         project=lambda rep: {"histogram": {f"{ell},{k},{int(odd)}": c for (ell, k, odd), c in rep.histogram.items()},
                              **_pick(rep, "ell_quantiles", "k_quantiles", "acceptance")}),
     "trend": Command(

@@ -32,7 +32,10 @@ lookups.  At n = 32 there are 14,430 states, 913 of them not upper, on
 ascending loop alone needed 12,442, but each took about 7 children.  A
 count that must cover more nodes than its budget, by a lower bound from
 the odd elements and the upper half, or recurse deeper than the
-interpreter allows, refuses before searching.
+interpreter allows, refuses before searching.  Since the memo knows how
+many m-sets lie below each state, it also unranks: sum_free_ranking maps
+each rank below the count to the set of that rank in listing order, which
+is how the sampler draws exactly uniform sets.
 
 Listings need the sets themselves, so enumerate_sum_free walks the nodes
 one by one in ascending set order, skipping branches that cannot reach
@@ -54,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, NoReturn, Optional
+from typing import Callable, Iterator, NoReturn, Optional
 
 from .core import ALLOW_EQUAL_DEFAULT
 from .errors import BudgetError
@@ -177,20 +180,11 @@ def _subtree(
     sum-free sets with j more elements than the state, for j <= wanted.
     Elements are chosen in ascending order, so `allowed` lies above every
     chosen element, and choosing x kills c + x for each chosen c (and 2x by
-    convention).  Only chosen elements inside allowed - allowed matter
-    below, so a state is (allowed, chosen reduced to that difference set,
-    wanted).  The memo has one entry per allowed set: its difference set,
-    computed once, and a table from the reduced chosen and wanted, packed
-    as chosen * width + wanted, to the subtree's polynomial.  wanted is
-    capped at |allowed|, which no subtree exceeds, so it stays below width:
-    a full profile keys on the first two alone, and a fixed m reaches only
-    states within m levels of the root.  A child that is upper goes to
-    _upper, which keys it on its canonical translate in the same memo.  A
-    subtree covering more than `budget` nodes refuses, with its sets by
-    size (from `size`) as partial.
+    convention).  Each child's polynomial comes from _child.  A subtree
+    covering more than `budget` nodes refuses, with its sets by size (from
+    `size`) as partial.
     """
     acc = 0
-    below = wanted - 1
     bits = allowed
     while bits:
         xbit = bits & -bits
@@ -199,27 +193,45 @@ def _subtree(
         kept = chosen | xbit
         # bits is allowed above x: drop c + x for each chosen c, and 2x by convention
         child = bits & ~(kept << x if allow_equal else chosen << x)
-        k = child.bit_count()
-        r = k if k < below else below
-        if r < 2:
-            acc += 1 if r < 1 else 1 + (k << width)
-            continue
-        if 2 * ((child & -child).bit_length() - 1) >= child.bit_length():  # 2 min(child) > max(child)
-            acc += _upper(child, kept, r, memo, width, budget, size + 1)
-            continue
-        entry = memo.get(child)
-        if entry is None:
-            entry = memo[child] = (_differences(child), {})
-        diffs, table = entry
-        kept &= diffs
-        key = kept * width + r
-        v = table.get(key)
-        if v is None:
-            v = table[key] = _subtree(child, kept, r, memo, width, allow_equal, budget, size + 1)
-        acc += v
+        acc += _child(child, kept, wanted - 1, memo, width, allow_equal, budget, size + 1)
     value = 1 + ((acc << width) & ((1 << width * (wanted + 1)) - 1))
     if value % ((1 << width) - 1) > budget:  # the sum of the coefficients
         _refuse(value, width, budget, size)
+    return value
+
+
+def _child(
+    allowed: int, chosen: int, wanted: int, memo: dict, width: int, allow_equal: bool, budget: int, size: int
+) -> int:
+    """By-size polynomial of the state (allowed, chosen), up to `wanted` more elements: the memo's one dispatch.
+
+    Only chosen elements inside allowed - allowed matter below, so a state
+    is (allowed, chosen reduced to that difference set, wanted).  wanted is
+    capped at |allowed|, which no subtree exceeds, so it stays below width.
+    Below 2 the polynomial is closed; an upper state goes to _upper, which
+    keys it on its canonical translate; any other is read from, or solved
+    into, the memo.  That has one entry per allowed set: its difference
+    set, computed once, and a table from the reduced chosen and wanted,
+    packed as chosen * width + wanted, to the subtree's polynomial.  A full
+    profile keys on the first two alone, and a fixed m reaches only states
+    within m levels of the root.
+    """
+    k = allowed.bit_count()
+    if k < wanted:
+        wanted = k
+    if wanted < 2:
+        return 1 if wanted < 1 else 1 + (k << width)
+    if 2 * ((allowed & -allowed).bit_length() - 1) >= allowed.bit_length():  # 2 min(allowed) > max(allowed)
+        return _upper(allowed, chosen, wanted, memo, width, budget, size)
+    entry = memo.get(allowed)
+    if entry is None:
+        entry = memo[allowed] = (_differences(allowed), {})
+    diffs, table = entry
+    chosen &= diffs
+    key = chosen * width + wanted
+    value = table.get(key)
+    if value is None:
+        value = table[key] = _subtree(allowed, chosen, wanted, memo, width, allow_equal, budget, size)
     return value
 
 
@@ -240,9 +252,9 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
     solved on the minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)),
     which is (1 + y) P(A - a) when a + gaps misses A.  The exclude chain
     A, A - a, ... runs in a loop down to a solved state, and its states are
-    stored on the way back, so only the include branch recurses and the
-    depth stays within `wanted`, as in _subtree.  wanted is capped at
-    |allowed| and is at least 2.
+    stored on the way back, so only the include branch recurses, through
+    _child, and the depth stays within `wanted`, as in _subtree.  wanted is
+    capped at |allowed| and is at least 2.
     """
     chain = []
     while True:
@@ -268,12 +280,7 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
         abit = allowed & -allowed
         rest = allowed ^ abit
         hit = rest & (gaps << (abit.bit_length() - 1))
-        include = None
-        if hit:
-            rest_in = rest ^ hit
-            k = rest_in.bit_count()
-            r = k if k < wanted - 1 else wanted - 1
-            include = 1 + (k << width) if r < 2 else _upper(rest_in, gaps, r, memo, width, budget, size + 1)
+        include = hit and _child(rest ^ hit, gaps, wanted - 1, memo, width, True, budget, size + 1)  # 0: no hit
         chain.append((table, key, wanted, include))
         k = rest.bit_count()
         if k < wanted:
@@ -284,7 +291,7 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
         allowed = rest
     field = (1 << width) - 1
     for table, key, wanted, include in reversed(chain):
-        value += (value if include is None else include) << width
+        value += (include or value) << width
         value = table[key] = value & (1 << width * (wanted + 1)) - 1
         if value % field > budget:  # the sum of the coefficients
             _refuse(value, width, budget, size)
@@ -351,11 +358,8 @@ def count_sum_free(
     ubits = _universe_bits(n, universe, m)
     if m is not None and m > ubits.bit_count():
         return CountResult(0, {}, "memo", 0.0, 0)
-    width = n + 2  # a field holds any count <= 2^n, and so does the sum of all fields
-    wanted = ubits.bit_count() if m is None else m
-    _refuse_unreachable(ubits, wanted, node_budget)
-    memo: dict = {}
-    value = _subtree(ubits, 0, wanted, memo, width, allow_equal, node_budget, 0)
+    width = n + 2
+    value, memo = _solve(ubits, ubits.bit_count() if m is None else m, width, allow_equal, node_budget)
     by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c and (m is None or j == m)}
     return CountResult(
         total=sum(by_size.values()),
@@ -365,6 +369,63 @@ def count_sum_free(
         nodes=value % ((1 << width) - 1),
         states=sum(len(table) for _diffs, table in memo.values()),
     )
+
+
+def _solve(ubits: int, wanted: int, width: int, allow_equal: bool, budget: int) -> tuple[int, dict]:
+    """The root's polynomial up to `wanted` elements, and the memo that solved it; refuses as a count does.
+
+    width = n + 2: a field holds any count <= 2^n, and so does the sum of all fields.
+    """
+    _refuse_unreachable(ubits, wanted, budget)
+    memo: dict = {}
+    return _subtree(ubits, 0, wanted, memo, width, allow_equal, budget, 0), memo
+
+
+def sum_free_ranking(
+    n: int, m: int, allow_equal: bool = ALLOW_EQUAL_DEFAULT, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[int, Callable[[int], int]]:
+    """The number of sum-free m-subsets of {1, ..., n}, and the map from a rank in [0, total) to the bitmap of
+    the set of that rank in the order enumerate_sum_free lists them.
+
+    The count is count_sum_free(n, m)'s, with its budget and refusals, and
+    the map unranks on the memo that count leaves, so a uniform rank gives
+    an exactly uniform set.
+    """
+    ubits = _universe_bits(n, None, m)
+    width = n + 2
+    value, memo = _solve(ubits, min(m, n), width, allow_equal, node_budget)  # coefficient m > n is 0
+    total = value >> width * m & (1 << width) - 1
+    return total, lambda rank: _unrank(rank, ubits, m, memo, width, allow_equal, node_budget)
+
+
+def _unrank(rank: int, allowed: int, wanted: int, memo: dict, width: int, allow_equal: bool, budget: int) -> int:
+    """The chosen bitmap of the set at `rank` among those with `wanted` elements below the root (allowed, none chosen).
+
+    The ascending search lists a state's sets before its children's, and
+    its children's subtrees by ascending x, each in the same order.  So the
+    walk takes, at each state, the first x whose child's coefficient for the
+    elements still wanted exceeds the rank, having subtracted those of the
+    children before it.  Every child's polynomial comes from _child, as in
+    the count, so it is read from the memo the count left (a gapless upper
+    child the count never asked for at this wanted is solved into it once).
+    """
+    field = (1 << width) - 1
+    chosen = 0
+    while wanted:
+        wanted -= 1
+        bits = allowed
+        while True:
+            xbit = bits & -bits
+            bits ^= xbit
+            x = xbit.bit_length() - 1
+            kept = chosen | xbit
+            child = bits & ~(kept << x if allow_equal else chosen << x)
+            below = _child(child, kept, wanted, memo, width, allow_equal, budget, 0) >> width * wanted & field
+            if rank < below:
+                break
+            rank -= below
+        allowed, chosen = child, kept
+    return chosen
 
 
 # ----------------------------------------------------------------------

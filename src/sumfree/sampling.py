@@ -1,15 +1,15 @@
-"""Uniform random sum-free m-sets by rejection, and structure trend tables.
+"""Uniform random sum-free m-sets, exact by unranking on the count memo, and structure trend tables.
 
-A uniform m-subset of {1, ..., n} conditioned on being sum-free is drawn
-by straight rejection, so every accepted set is exactly uniform over the
-sum-free m-sets.  Rejection is refused when the estimated acceptance rate
-falls below min_acceptance (exact counts are used for the estimate when
-the universe is small enough, a pilot stream otherwise); exact enumeration
-is the right tool in that regime.
+count_sum_free(n, m) solves the by-size polynomial of every state of the
+ascending search, so its memo knows how many sum-free m-sets lie below
+each state.  A draw takes a uniform rank below the total and unranks it on
+that memo, so every draw is exactly uniform over the sum-free m-sets, and
+the sampler refuses only as that count does, through its node budget.
 
 Reports histogram the low-part statistics (ell, k, all-odd flag) of the
-samples.  Reproducibility: the seed derives the one stream all samples
-are drawn from, so a report is a pure function of (n, m, count, seed).
+samples.  Reproducibility: every rank is drawn from one
+random.Random(seed), so a report is a pure function of (n, m, count,
+seed, allow_equal).
 
 Trend tables track the scaled statistics ell * m/n and k * m^3/n^3 across
 n, using exact strata up to n = TREND_EXACT_LIMIT and sampling beyond.
@@ -25,15 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .core import ALLOW_EQUAL_DEFAULT, is_sum_free, statistics_of
-from .enumeration import count_sum_free, stratified_counts
-from .errors import BudgetError
-
-MIN_ACCEPTANCE = 1e-6
-EXACT_COUNT_LIMIT = 32  # universes this small get exact acceptance estimates
-PILOT_DRAWS = 200_000
+from .core import ALLOW_EQUAL_DEFAULT, statistics_of
+from .enumeration import DEFAULT_NODE_BUDGET, stratified_counts, sum_free_ranking
+from .intset import iter_bits
 
 #: trend tables use exact strata up to this n, samples beyond it
 TREND_EXACT_LIMIT = 26
@@ -42,28 +38,28 @@ TREND_ELL_WINDOW = (0.0, 6.0)
 TREND_K_WINDOW = (0.0, 8.0)
 
 
-def acceptance_estimate(n: int, m: int, seed: int = 0, allow_equal: bool = ALLOW_EQUAL_DEFAULT) -> float:
-    """Estimated probability that a uniform m-subset of {1, ..., n} is sum-free."""
-    if n <= EXACT_COUNT_LIMIT:
-        return count_sum_free(n, m, allow_equal=allow_equal).total / comb(n, m)
-    rng = random.Random(f"{seed}:pilot")
-    hits = sum(
-        1 for _ in range(PILOT_DRAWS) if is_sum_free(rng.sample(range(1, n + 1), m), allow_equal)
-    )
-    return hits / PILOT_DRAWS
+def _draws(
+    n: int, m: int, count: int, seed: int, allow_equal: bool, node_budget: int
+) -> tuple[int, Iterator[frozenset]]:
+    """The number of sum-free m-subsets of {1, ..., n}, and `count` of them, each the set of a uniform rank."""
+    if not (0 <= m <= n and count >= 0):
+        raise ValueError("need 0 <= m <= n and count >= 0")
+    total, unrank = sum_free_ranking(n, m, allow_equal, node_budget)
+    if count and not total:
+        raise ValueError(f"no sum-free {m}-subset of {{1, ..., {n}}} to draw")
+    rng = random.Random(seed)
+    return total, (frozenset(iter_bits(unrank(rng.randrange(total)))) for _ in range(count))
 
 
 def draw_sum_free(
     n: int, m: int, count: int, seed: int, allow_equal: bool = ALLOW_EQUAL_DEFAULT
-) -> Iterable[frozenset]:
-    """Yield `count` independent uniform sum-free m-subsets of {1, ..., n}."""
-    rng = random.Random(seed)
-    produced = 0
-    while produced < count:
-        candidate = frozenset(rng.sample(range(1, n + 1), m))
-        if is_sum_free(candidate, allow_equal):
-            produced += 1
-            yield candidate
+) -> Iterator[frozenset]:
+    """Yield `count` independent uniform sum-free m-subsets of {1, ..., n}.
+
+    The count runs at the call, so its refusal (BudgetError), or a ValueError
+    when there is no such set to draw, comes before any set is drawn.
+    """
+    return _draws(n, m, count, seed, allow_equal, DEFAULT_NODE_BUDGET)[1]
 
 
 @dataclass
@@ -94,46 +90,25 @@ def sample_uniform(
     count: int,
     seed: int,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    min_acceptance: float = MIN_ACCEPTANCE,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SampleReport:
     """Draw `count` uniform sum-free m-sets and report their statistics.
 
-    Refuses (BudgetError) when the estimated acceptance rate is below
-    min_acceptance; exact enumeration should be used instead.
+    acceptance is the exact share of the m-subsets that are sum-free.  A
+    count over node_budget refuses (BudgetError) as count_sum_free does.
     """
     t0 = time.perf_counter()
-    if not (0 <= m <= n):
-        raise ValueError("need 0 <= m <= n")
-    if count < 0:
-        raise ValueError("need count >= 0")
-    rate = acceptance_estimate(n, m, seed=seed, allow_equal=allow_equal)
-    if rate < min_acceptance:
-        raise BudgetError(
-            f"rejection sampling infeasible (estimated acceptance {rate:.2e}); "
-            "use exact enumeration instead",
-            estimate=rate,
-        )
+    total, draws = _draws(n, m, count, seed, allow_equal, node_budget)
     histogram: Counter = Counter()
     ells: list[int] = []
     ks: list[Fraction] = []
-    for sample in draw_sum_free(n, m, count, random.Random(seed).getrandbits(64), allow_equal):
+    for sample in draws:
         st = statistics_of(sample, n)
         histogram[(st.ell, st.k, st.odd_flag)] += 1
         ells.append(st.ell)
         ks.append(st.k)
-    ells.sort()
-    ks.sort()
-    return SampleReport(
-        n=n,
-        m=m,
-        sample_count=count,
-        seed=seed,
-        histogram=dict(histogram),
-        ell_quantiles=_quantiles(ells),
-        k_quantiles=_quantiles(ks),
-        acceptance=rate,
-        elapsed=time.perf_counter() - t0,
-    )
+    quantiles = _quantiles(sorted(ells)), _quantiles(sorted(ks))
+    return SampleReport(n, m, count, seed, dict(histogram), *quantiles, total / comb(n, m), time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------------
@@ -210,20 +185,7 @@ def structure_trend(
         k_med = _weighted_median(weights, 1)
         ell_scaled = float(ell_med) * m / n
         k_scaled = float(k_med) * m**3 / n**3
-        stable = (
-            TREND_ELL_WINDOW[0] <= ell_scaled <= TREND_ELL_WINDOW[1]
-            and TREND_K_WINDOW[0] <= k_scaled <= TREND_K_WINDOW[1]
-        )
-        rows.append(
-            TrendRow(
-                n=n,
-                m=m,
-                method=method,
-                ell_median=ell_med,
-                k_median=k_med,
-                ell_scaled=ell_scaled,
-                k_scaled=k_scaled,
-                stable=stable,
-            )
-        )
+        (ell_lo, ell_hi), (k_lo, k_hi) = TREND_ELL_WINDOW, TREND_K_WINDOW
+        stable = ell_lo <= ell_scaled <= ell_hi and k_lo <= k_scaled <= k_hi
+        rows.append(TrendRow(n, m, method, ell_med, k_med, ell_scaled, k_scaled, stable))
     return rows

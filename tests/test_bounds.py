@@ -89,6 +89,15 @@ def test_gamma_sum_large_b_dominance():
     assert chk.passed
 
 
+def test_gamma_sum_refuses_a_b_it_cannot_sum():
+    # no term of these ever fell below 1e-15 of the sum past j = a / b, so the loop never ended
+    for b in (math.nan, math.inf, 1e-300):
+        with pytest.raises(ValueError, match="b"):
+            check_gamma_sum(1, b)
+    with pytest.raises(ValueError, match="too small"):
+        check_gamma_sum(3, 2e-5)  # at least a / b = 150,000 terms
+
+
 def test_gamma_sum_grid():
     worst = 0.0
     for a in range(1, 11):
@@ -215,6 +224,18 @@ def test_theorem_rhs_refuses_missing_and_non_finite_parameters():
             theorem_rhs("conj", N=20, m=3, delta=value)
         with pytest.raises(ValueError, match="finite C"):
             theorem_rhs("CEthm", n=10, m=3, C=value)
+
+
+def test_theorem_rhs_names_the_parameter_out_of_range():
+    # each of these took the log of a value <= 0: "math domain error"
+    for name, params, message in (
+        ("parts", dict(k=-1, ell=2), "parts needs k >= 0, not -1"),
+        ("S+S", dict(k=5, ell=2, c=-1.0, delta=1.0), "S[+]S needs c > 0, not -1.0"),
+        ("S+S2", dict(ell=2, lam=0.5, delta=1.0), "S[+]S2 needs lam > 0.75, not 0.5"),
+        ("CEthm", dict(n=10, m=0, C=1.0), "CEthm needs m >= 1, not 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            theorem_rhs(name, **params)
 
 
 def test_empirical_constant_examples():

@@ -241,6 +241,18 @@ def test_bounds_name_the_missing_parameter(capsys):
         assert (code, out, err) == (2, "", f"error: CEthm needs n, m, C; missing {missing}\n"), argv
 
 
+def test_bounds_name_the_parameter_out_of_range(capsys):
+    code, out, err = run(["bounds", "--name", "parts", "--k", "-1", "--ell", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: parts needs k >= 0, not -1\n")
+
+
+def test_gamma_b_it_cannot_sum_exits_2(capsys):
+    # each of these looped forever: no term fell below 1e-15 of the sum
+    for b in ("nan", "inf", "1e-300"):
+        code, out, err = run(["inequalities", "--kind", "gamma", "--a", "1", "--gamma-b", b], capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error:"), (b, err)
+
+
 def test_trend_csv(capsys):
     code, out, _ = run(
         ["trend", "--n-list", "12,16", "--m-rule", "sqrt", "--count", "100", "--format", "csv"],

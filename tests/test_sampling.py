@@ -1,14 +1,16 @@
-"""Rejection sampler: correctness, determinism, uniformity, trend tables."""
+"""Sampler by unranking on the count memo: rank order, refusals, determinism, uniformity, trend tables."""
 
 from collections import Counter
+from math import comb
 
 import pytest
 from scipy.stats import chi2
 
-from sumfree import sampling
 from sumfree.cli import main
+from sumfree.enumeration import sum_free_ranking
 from sumfree import (
     BudgetError,
+    count_sum_free,
     draw_sum_free,
     enumerate_sum_free,
     is_sum_free,
@@ -34,10 +36,29 @@ def test_seed_determinism():
     assert c.histogram != a.histogram
 
 
-def test_infeasible_acceptance_is_refused():
-    with pytest.raises(BudgetError) as err:
-        sample_uniform(10, 5, 10, seed=0, min_acceptance=0.5)
-    assert "enumeration" in str(err.value)
+@pytest.mark.parametrize("allow_equal", (True, False))
+def test_every_rank_unranks_to_the_listing_order(allow_equal):
+    # a uniform rank is then a uniform set; m runs past the largest sum-free size, where the count is 0
+    for n in range(17):
+        for m in range(n + 2):
+            total, unrank = sum_free_ranking(n, m, allow_equal)
+            listing = [s.bits for s in enumerate_sum_free(n, m, allow_equal=allow_equal)]
+            assert [unrank(rank) for rank in range(total)] == listing, (n, m)
+
+
+def test_refusals_come_from_the_count(capsys):
+    # the one refusal is the count's node budget, with the count's error and partial; here up front
+    with pytest.raises(BudgetError) as counted:
+        count_sum_free(20, 5, node_budget=100)
+    with pytest.raises(BudgetError) as sampled:
+        sample_uniform(20, 5, 1, seed=0, node_budget=100)
+    assert (str(sampled.value), sampled.value.partial) == (str(counted.value), counted.value.partial)
+    assert sampled.value.partial[:2] == ({}, None)  # refused by the lower bound, before any search
+    assert main(["sample", "--n", "20", "--m", "5", "--count", "1", "--budget", "100"]) == 3
+    # no sum-free 6-subset of {1, ..., 10} to draw from: a usage error with one line
+    assert main(["sample", "--n", "10", "--m", "6", "--count", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and err.endswith("error: no sum-free 6-subset of {1, ..., 10} to draw\n")
 
 
 def test_histogram_mass_and_quantiles():
@@ -113,11 +134,9 @@ def test_trend_extremal_regime_small_ell():
         assert row.ell_median <= 2
 
 
-def test_pilot_estimate_above_exact_limit(monkeypatch, capsys):
-    # above EXACT_COUNT_LIMIT the acceptance rate comes from a seeded pilot stream
-    monkeypatch.setattr(sampling, "PILOT_DRAWS", 2000)
-    a = sample_uniform(40, 7, 10, seed=3)
-    assert sum(a.histogram.values()) == 10
-    assert a.acceptance == sample_uniform(40, 7, 10, seed=3).acceptance > 0
+def test_acceptance_is_exact_above_32(capsys):
+    rep = sample_uniform(40, 7, 10, seed=3)
+    assert sum(rep.histogram.values()) == 10
+    assert rep.acceptance == count_sum_free(40, 7).total / comb(40, 7)
     assert main(["sample", "--n", "40", "--m", "7", "--count", "10"]) == 0
     assert "histogram" in capsys.readouterr().out
