@@ -22,6 +22,7 @@ edges and maximum degree at most 2|S|.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import exp, inf, lgamma, log
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from .intset import IntSet, coerce_bits, iter_bits
 
 REL_TOL = 1e-9
 GAMMA_MAX_TERMS = 10**5  # check_gamma_sum adds more than a / b terms, and refuses more than this
+LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -164,23 +166,33 @@ def check_gamma_sum(a: int, b: float, cap: float = 2.0) -> GammaSumCheck:
 
     Terms are added until they drop below 1e-15 of the partial sum (and the
     summand is already decreasing, past j = a/b), so a b below
-    a / GAMMA_MAX_TERMS is refused before summing.
+    a / GAMMA_MAX_TERMS is refused before summing.  The terms are summed in
+    log space, relative to the largest, so none overflows or underflows to
+    zero; a sum or bound past the float range is refused.
     """
     if a < 1 or not 0 < b < inf:
         raise ValueError(f"need a >= 1 and a finite b > 0, not a = {a}, b = {b}")
     if a / b > GAMMA_MAX_TERMS:
         raise ValueError(f"b = {b} too small: the sum needs over a / b = {a / b:.3g} terms (at most {GAMMA_MAX_TERMS})")
-    total = 0.0
+    peak = max(a * log(j) - b * j for j in (max(1, math.floor(a / b)), math.floor(a / b) + 1))  # the largest log term
+    total = 0.0  # the sum over e^peak
     j = 1
     while True:
-        term = j**a * exp(-b * j)
+        term = exp(a * log(j) - b * j - peak)
         total += term
         if j > a / b and term < 1e-15 * total:
             break
         j += 1
-    bound = exp(lgamma(a + 1) - (a + 1) * log(b))
+    log_total, log_bound = peak + log(total), lgamma(a + 1) - (a + 1) * log(b)
+    if max(log_total, log_bound) > LOG_FLOAT_MAX:
+        raise ValueError(f"a = {a}, b = {b}: the sum is about e^{log_total:.6g}, past the float range")
     return GammaSumCheck(
-        a=a, b=b, tail_sum=total, gamma_bound=bound, constant=total / bound, passed=total <= cap * bound
+        a=a,
+        b=b,
+        tail_sum=exp(log_total),
+        gamma_bound=exp(log_bound),
+        constant=exp(log_total - log_bound),
+        passed=log_total <= log(cap) + log_bound,
     )
 
 

@@ -294,7 +294,7 @@ COMMANDS = {
         "scaled low-part statistics across n",
         (("--n-list", _parse_values, None, True, "e.g. 12,16,20"),
          ("--m-rule", str, "sqrt", False, "sqrt | half | div:K | fixed:M"), ("--count", int, 2000)),
-        sampling.structure_trend, common=("seed",),
+        sampling.structure_trend, common=("seed",), run=SEARCH,
         project=lambda rows: [{**asdict(r), "ell_scaled": round(r.ell_scaled, 6), "k_scaled": round(r.k_scaled, 6)}
                               for r in rows]),
     "verify": Command("run the acceptance checks", (("--suite", ("small", "full"), "full"),)),

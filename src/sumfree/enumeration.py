@@ -2,9 +2,12 @@
 
 count_oracle is the ground truth: it checks every subset of the universe
 (|universe| <= 24) against every relation x + y = z, each held as one
-mask of its three bits, in vectorized blocks of 2^16 subset masks.  It
-shares no code with the search, which has two engines: a memo for counts
-and a walk for listings, and strata use both.
+mask of its three bits, in vectorized blocks of 2^16 subset masks.  The
+relations inside a block's low 16 bits are tested once for all blocks,
+and the blocks are walked depth-first over their high bits, each testing
+only the relations its last high bit completes.  It shares no code with
+the search, which has two engines: a memo for counts and a walk for
+listings, and strata use both.
 
 count_sum_free picks elements in ASCENDING order, the order of the walk
 below, while maintaining the allowed bitmap: after choosing x, any larger
@@ -42,11 +45,13 @@ one by one in ascending set order, skipping branches that cannot reach
 size m.  Strata by the low-part statistics (ell, k, all-odd flag) need only
 the low part, the elements x with 2x <= n, and the ascending search chooses
 all of those before any high element.  So stratified_counts walks the
-sum-free low prefixes alone and reads the high completions of each from
-one count memo shared by all of them; an all-odd prefix kills only even
+sum-free low prefixes alone and reads the high completions of each
+through the memo's dispatch, so prefixes whose high parts reduce to one
+canonical upper state share its entry; an all-odd prefix kills only even
 numbers, so its all-odd completions are a binomial.  Strata budget the
-count's nodes and refuse before searching exactly when the count of the
-same size does.  Everything runs in one process.
+count's nodes, summed over the prefixes, and refuse before searching
+exactly when the count of the same size does.  Everything runs in one
+process.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from .intset import IntSet, coerce_bits, iter_bits
 DEFAULT_NODE_BUDGET = 2 * 10**8
 DEFAULT_STREAM_BUDGET = 10**6
 ORACLE_MAX_UNIVERSE = 24
-ORACLE_BLOCK = 1 << 16  # subset masks per vectorized pass; larger blocks fall out of cache
+ORACLE_BLOCK = 1 << 16  # subset masks per block, a power of two; larger blocks fall out of cache
 STACK_HEADROOM = 100  # interpreter frames left to the callers of a count
 
 
@@ -116,8 +121,17 @@ def count_oracle(
 
     The universe may hold at most 24 elements.  Each relation x + y = z
     among universe elements is one mask of its bits, and a subset is not
-    sum-free when it contains all of some relation's bits.  The 2^u subset
-    masks are tested against every relation, ORACLE_BLOCK masks at a time.
+    sum-free when it contains all of some relation's bits.  The low
+    log2(ORACLE_BLOCK) bits of a subset mask are its offset in a block and
+    the other, high, bits number the blocks.  The relations inside the low
+    bits are tested once, on every offset, into a base keep mask.  The
+    blocks are walked depth-first over their high bits, and each relation
+    with high bits is tested at the block that sets the highest of them,
+    once all of them are set, into a copy of its parent's mask that every
+    block below inherits.  So every subset is tested against every
+    relation, and a block pays only for the relations new to it.  The
+    offsets are sorted by popcount, so a block's sets by size are sums over
+    slices of its mask, shifted by the popcount of its high bits.
     """
     import numpy as np  # only the oracle needs numpy; keeps it out of start-up
 
@@ -130,22 +144,39 @@ def count_oracle(
             f"universe too large for the subset oracle ({u} > {ORACLE_MAX_UNIVERSE})",
             estimate=2**u,
         )
+    low = min(ORACLE_BLOCK.bit_length() - 1, u)
     index = {v: i for i, v in enumerate(elements)}
-    relations = []
+    base, by_top = [], [[] for _ in range(u - low)]  # by_top[t]: (high bits, low bits) of the relations topped by t
     for i, x in enumerate(elements):
         for j in range(i if allow_equal else i + 1, u):
             kdx = index.get(x + elements[j])
             if kdx is not None:
-                relations.append((1 << i) | (1 << j) | (1 << kdx))
-    block = min(ORACLE_BLOCK, 1 << u)
-    offsets = np.arange(block, dtype=np.uint32)
+                rel = (1 << i) | (1 << j) | (1 << kdx)
+                rel_high, rel_low = rel >> low, rel & ((1 << low) - 1)
+                if rel_high:
+                    by_top[rel_high.bit_length() - 1].append((rel_high, rel_low))
+                else:
+                    base.append(rel_low)
+    offsets = np.arange(1 << low, dtype=np.min_scalar_type((1 << low) - 1))
+    offsets = offsets[np.argsort(np.bitwise_count(offsets), kind="stable")]  # stable: a radix sort of uint8 keys
+    starts = np.searchsorted(np.bitwise_count(offsets), np.arange(low + 1))  # the first offset of each popcount
+
+    def drop(keep, rel_lows):  # clear the offsets holding all of a relation's low bits
+        for rel in rel_lows:
+            keep &= (offsets & rel) != rel
+        return keep
+
     by_size_arr = np.zeros(u + 1, dtype=np.int64)
-    for start in range(0, 1 << u, block):
-        masks = offsets + np.uint32(start)
-        keep = np.ones(block, dtype=bool)
-        for rel in relations:
-            keep &= (masks & rel) != rel
-        by_size_arr += np.bincount(np.bitwise_count(masks[keep]), minlength=u + 1)
+
+    def visit(high, keep, top):
+        size = high.bit_count()
+        by_size_arr[size : size + low + 1] += np.add.reduceat(keep, starts, dtype=np.int64)
+        for t in range(top, u - low):
+            child = high | 1 << t
+            new = [rel_low for rel_high, rel_low in by_top[t] if rel_high & child == rel_high]
+            visit(child, drop(keep.copy(), new) if new else keep, t + 1)
+
+    visit(0, drop(np.ones(1 << low, dtype=bool), base), 0)
     by_size = {s: int(c) for s, c in enumerate(by_size_arr) if c and (m is None or s == m)}
     return CountResult(
         total=sum(by_size.values()),
@@ -560,12 +591,18 @@ def stratified_counts(
     ell, k and the all-odd flag of the low part depend only on the elements
     x with 2x <= n, which the ascending search chooses before any high one.
     So the walk chooses low elements only, and the high completions of each
-    low prefix are coefficient m - |prefix| of its subtree on the count memo;
-    an all-odd prefix kills only even numbers, so C(odd high allowed,
-    m - |prefix|) of them are all odd.  The budget is in the units of
-    count_sum_free(n, m), the nodes covered, summed over the prefixes, and
-    it refuses before searching exactly when that count does.  A refusal's
-    partial is (by_size, (ell, k) -> count so far, nodes).
+    low prefix are coefficient m - |prefix| of its high state's polynomial,
+    read through _child, the memo's one dispatch: the high part is always
+    an upper state, so prefixes that leave the same canonical translate and
+    gaps share one entry.  An all-odd prefix kills only even numbers, so
+    C(odd high allowed, m - |prefix|) of its completions are all odd.  The
+    tallies are keyed on (ell, 2k) and k becomes a Fraction at the end.
+    The budget is in the units of count_sum_free(n, m), the nodes covered,
+    summed over the prefixes.  A state solved here refuses past the budget
+    left, and a memo hit checks nothing, so the sum is also checked after
+    each prefix; the same queries refuse as if every prefix were solved
+    afresh, and it refuses before searching exactly when the count does.
+    A refusal's partial is (by_size, (ell, k) -> count so far, nodes).
     """
     ubits = _universe_bits(n, None, m)
     if m > n:
@@ -576,18 +613,27 @@ def stratified_counts(
     width = n + 2
     field = (1 << width) - 1
     memo: dict = {}
-    joint, odd_joint = Counter(), Counter()
+    joint, odd_joint = Counter(), Counter()  # keyed on (ell, 2k)
     nodes = 0
     try:
         for allowed, chosen, size in _walk(ubits, high, allow_equal, m):
-            # _subtree reduces chosen in its children's keys; the budget left bounds this prefix's subtree
-            value = _subtree(allowed & high, chosen, m - size, memo, width, allow_equal, node_budget - nodes, size)
+            value = _child(allowed & high, chosen, m - size, memo, width, allow_equal, node_budget - nodes, size)
             nodes += value % field  # the sum of the coefficients
-            key = (size, Fraction(size * n - 2 * sum(iter_bits(chosen)), 2))  # ell, and k = sum (n/2 - x)
+            if nodes > node_budget:
+                break
+            key = (size, size * n - 2 * sum(iter_bits(chosen)))  # ell, and 2k = sum (n - 2x)
             joint[key] += value >> width * (m - size) & field
             if not chosen & ~odd:
                 odd_joint[key] += comb((allowed & high & odd).bit_count(), m - size)
     except BudgetError as err:
-        partial = ({m: sum(joint.values())} if +joint else {}, dict(+joint), nodes + err.partial[2])
-        raise BudgetError(f"search node budget exceeded ({node_budget})", node_budget, partial) from None
-    return StratifiedCounts(n, m, sum(joint.values()), dict(+joint), dict(+odd_joint))
+        nodes += err.partial[2]  # the refusing subtree's nodes: past the budget left
+    joint, odd_joint = _halves(joint), _halves(odd_joint)
+    if nodes <= node_budget:
+        return StratifiedCounts(n, m, sum(joint.values()), joint, odd_joint)
+    partial = ({m: sum(joint.values())} if joint else {}, joint, nodes)
+    raise BudgetError(f"search node budget exceeded ({node_budget})", node_budget, partial)
+
+
+def _halves(tally: Counter) -> dict[tuple[int, Fraction], int]:
+    """The nonzero counts of an (ell, 2k) tally, keyed on (ell, k)."""
+    return {(ell, Fraction(k2, 2)): c for (ell, k2), c in tally.items() if c}

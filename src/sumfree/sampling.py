@@ -163,11 +163,13 @@ def structure_trend(
     count: int,
     seed: int,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[TrendRow]:
     """Tabulate scaled low-part statistics across n.
 
     For n <= TREND_EXACT_LIMIT the distribution is the exact stratified
-    count; beyond that, `count` uniform samples are used.
+    count; beyond that, `count` uniform samples are used.  Both refuse
+    (BudgetError) past node_budget, as count_sum_free does.
     """
     if any(n < 1 for n in n_list):
         raise ValueError("every n must be >= 1")
@@ -176,10 +178,10 @@ def structure_trend(
     for n in n_list:
         m = rule(n)
         if n <= TREND_EXACT_LIMIT:
-            method, weights = "exact", stratified_counts(n, m, allow_equal=allow_equal).joint
+            method, weights = "exact", stratified_counts(n, m, allow_equal, node_budget).joint
         else:
             method, weights = "sampled", Counter()  # (ell, k) -> samples
-            for (ell, k, _odd), c in sample_uniform(n, m, count, seed, allow_equal=allow_equal).histogram.items():
+            for (ell, k, _odd), c in sample_uniform(n, m, count, seed, allow_equal, node_budget).histogram.items():
                 weights[ell, k] += c
         ell_med = _weighted_median(weights, 0)
         k_med = _weighted_median(weights, 1)

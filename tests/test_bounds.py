@@ -98,6 +98,18 @@ def test_gamma_sum_refuses_a_b_it_cannot_sum():
         check_gamma_sum(3, 2e-5)  # at least a / b = 150,000 terms
 
 
+def test_gamma_sum_in_log_space():
+    # j**a overflowed a float long before the term did (OverflowError past a of about 140 at b = 1)
+    chk = check_gamma_sum(150, 1.0)
+    assert chk.passed and math.isclose(chk.constant, 1.0, rel_tol=1e-9)
+    with pytest.raises(ValueError, match=r"a = 1000, b = 1\.0: .* past the float range"):
+        check_gamma_sum(1000, 1.0)
+    # every term underflowed to 0, so none fell below 1e-15 of the sum and the loop never ended
+    chk = check_gamma_sum(1, 1000.0)
+    assert chk.passed and chk.tail_sum == chk.constant == 0.0
+    assert math.isclose(chk.gamma_bound, 1e-6)
+
+
 def test_gamma_sum_grid():
     worst = 0.0
     for a in range(1, 11):

@@ -253,6 +253,17 @@ def test_gamma_b_it_cannot_sum_exits_2(capsys):
         assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error:"), (b, err)
 
 
+def test_gamma_sum_past_the_float_range_exits_2(capsys):
+    code, out, err = run(["inequalities", "--kind", "gamma", "--a", "1000", "--gamma-b", "1"], capsys)
+    assert (code, out) == (2, "") and err == "error: a = 1000, b = 1.0: the sum is about e^5912.13, past the float range\n"
+
+
+def test_trend_budget_reaches_strata_and_samples(capsys):
+    for n_list in ("20", "30"):  # exact strata up to TREND_EXACT_LIMIT, samples beyond
+        code, out, err = run(["trend", "--n-list", n_list, "--count", "10", "--budget", "1"], capsys)
+        assert (code, out, err) == (3, "", "budget error: search node budget exceeded (1)\n"), n_list
+
+
 def test_trend_csv(capsys):
     code, out, _ = run(
         ["trend", "--n-list", "12,16", "--m-rule", "sqrt", "--count", "100", "--format", "csv"],

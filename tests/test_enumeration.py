@@ -24,6 +24,7 @@ from sumfree import (
     statistics_of,
     stratified_counts,
 )
+from sumfree import enumeration
 from sumfree.enumeration import DEFAULT_NODE_BUDGET, _differences, _upper
 
 
@@ -52,6 +53,16 @@ def brute_force_profile(elements, allow_equal):
 
 
 def test_oracle_matches_pure_python_brute_force():
+    check_oracle_against_brute_force()
+
+
+def test_oracle_block_walk_matches_pure_python_brute_force(monkeypatch):
+    # at the real block size the high bits are walked only above 16 elements
+    monkeypatch.setattr(enumeration, "ORACLE_BLOCK", 1 << 3)
+    check_oracle_against_brute_force()
+
+
+def check_oracle_against_brute_force():
     rng = random.Random(19)
     for n in range(0, 13):
         full = list(range(1, n + 1))
@@ -100,7 +111,7 @@ def test_full_profiles_match_frozen_profiles():
 
 def test_oracle_spanning_several_blocks():
     frozen = json.loads(FROZEN_PROFILES.read_text())
-    for n in range(17, 21):
+    for n in range(17, 25):
         by_size = {int(m): c for m, c in frozen[str(n)].items()}
         res = count_oracle(n)
         assert (res.by_size, res.nodes) == (by_size, 1 << n), n
@@ -400,6 +411,14 @@ def test_strata_budget_refuses_with_partial_tallies():
         stratified_counts(20, 5, node_budget=100)
     by_size, strata, nodes = err.value.partial
     assert isinstance(by_size, dict) and isinstance(strata, dict) and nodes > 100
+
+
+def test_strata_refuse_past_the_budget_on_a_memo_hit():
+    # the refusing prefix's high part was solved for an earlier prefix, so reading it checks no budget
+    with pytest.raises(BudgetError) as err:
+        stratified_counts(16, 8, node_budget=1658)
+    by_size, joint, nodes = err.value.partial
+    assert nodes > 1658 and by_size[8] == sum(joint.values()) == 2
 
 
 def test_stratified_examples():
