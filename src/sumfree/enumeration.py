@@ -21,17 +21,20 @@ element never matters again.  A small chosen element is rarely such a
 difference, so many states share a key.  Each distinct state is solved
 once, as the by-size generating polynomial of its subtree packed into one
 integer (one n + 2 bit field per size).  Most states are upper: their
-allowed set has 2 min > max, as the top half of {1, ..., n} does, so no
-two allowed elements sum to a third and only the chosen gaps matter.  An
-upper state counts the subsets of its allowed set with no two elements a
-gap apart; it is keyed on its canonical translate, the one starting at
-span + 1 (every gapless set of size k on {k, ..., 2k - 1}), and solved by
-branching on its minimum.  The other states loop over every allowed
-element.  The memo lives for one call and has two levels: one entry per
-allowed set, holding that set's difference set, computed once, and a
-table of the states that share the set.  A repeated state costs two dict
-lookups.  At n = 32 there are 14,430 states, 913 of them not upper, on
-3,728 allowed sets, and the states grow about 2.8x for each +4 in n; the
+allowed set has 2 min > max, as the top half of {1, ..., n} does, or
+2 min >= max without equal summands, so no two allowed elements (no two
+distinct ones) sum to a third and only the chosen gaps matter.  An upper
+state counts the subsets of its allowed set with no two elements a gap
+apart.  Wanting at most 2 more elements, it is closed: C(k, 2) pairs less
+those a gap apart.  A gapless one is the binomial row of its size k,
+keyed on {k, ..., 2k - 1}.  Any other is keyed on its canonical
+translate, the one starting at span + 1, and solved by branching on its
+minimum.  The other states loop over every allowed element.  The memo
+lives for one call and has two levels: one entry per allowed set,
+holding that set's difference set, computed once, and a table of the
+states that share the set.  A repeated state costs two dict lookups.  At
+n = 32 there are 14,416 states, the root and 913 others not upper, on
+3,715 allowed sets, and the states grow about 2.8x for each +4 in n; the
 ascending loop alone needed 12,442, but each took about 7 children.  A
 count that must cover more nodes than its budget, by a lower bound from
 the odd elements and the upper half, or recurse deeper than the
@@ -85,7 +88,8 @@ class CountResult:
     elapsed  -- wall seconds
     nodes    -- subsets inspected by the oracle; for the search, the tree
                 nodes covered: the sum-free sets of size <= m (all if m is None)
-    states   -- distinct search states the memo solved (0 for the oracle)
+    states   -- distinct search states the memo solved and stored, the root
+                among them unless closed (0 for the oracle)
     """
 
     total: int
@@ -239,20 +243,25 @@ def _child(
     Only chosen elements inside allowed - allowed matter below, so a state
     is (allowed, chosen reduced to that difference set, wanted).  wanted is
     capped at |allowed|, which no subtree exceeds, so it stays below width.
-    Below 2 the polynomial is closed; an upper state goes to _upper, which
-    keys it on its canonical translate; any other is read from, or solved
-    into, the memo.  That has one entry per allowed set: its difference
-    set, computed once, and a table from the reduced chosen and wanted,
-    packed as chosen * width + wanted, to the subtree's polynomial.  A full
+    Below 2 the polynomial is closed, and so is an upper state's at 2 (see
+    _pairs); any other upper state goes to _upper, which keys it on its
+    canonical translate; any other state is read from, or solved into, the
+    memo.  That has one entry per allowed set: its difference set,
+    computed once, and a table from the reduced chosen and wanted, packed
+    as chosen * width + wanted, to the subtree's polynomial.  A full
     profile keys on the first two alone, and a fixed m reaches only states
-    within m levels of the root.
+    within m levels of the root.  A closed form is not checked against the
+    budget; its parent is, or, at the root, _solve.
     """
     k = allowed.bit_count()
     if k < wanted:
         wanted = k
     if wanted < 2:
         return 1 if wanted < 1 else 1 + (k << width)
-    if 2 * ((allowed & -allowed).bit_length() - 1) >= allowed.bit_length():  # 2 min(allowed) > max(allowed)
+    # upper: 2 min(allowed) > max(allowed), or >= without equal summands
+    if 2 * (allowed & -allowed).bit_length() > allowed.bit_length() + allow_equal:
+        if wanted < 3:
+            return 1 + (k << width) + (_pairs(allowed, chosen, k) << 2 * width)
         return _upper(allowed, chosen, wanted, memo, width, budget, size)
     entry = memo.get(allowed)
     if entry is None:
@@ -266,6 +275,21 @@ def _child(
     return value
 
 
+def _pairs(allowed: int, gaps: int, k: int) -> int:
+    """The 2-subsets of the k-element upper set `allowed` with no two elements a gap apart: C(k, 2) - e.
+
+    Each pair x < y is excluded by one gap at most, y - x, so e is the
+    number of pairs a gap apart, summed over the gaps.
+    """
+    excluded = 0
+    gaps &= (2 << allowed.bit_length() - (allowed & -allowed).bit_length()) - 1  # a gap above the span excludes none
+    while gaps:
+        gbit = gaps & -gaps
+        gaps ^= gbit
+        excluded += (allowed & allowed >> gbit.bit_length() - 1).bit_count()
+    return k * (k - 1) // 2 - excluded
+
+
 def _refuse(value: int, width: int, budget: int, size: int) -> NoReturn:
     """Refuse a subtree that covers more than `budget` nodes, with its sets by size as partial."""
     by_size = {size + j: c for j, c in enumerate(_coefficients(value, width)) if c}
@@ -274,25 +298,29 @@ def _refuse(value: int, width: int, budget: int, size: int) -> NoReturn:
 
 
 def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget: int, size: int) -> int:
-    """By-size polynomial of an upper state: one whose allowed set has 2 min > max.
+    """By-size polynomial of an upper state: 2 min > max, or 2 min >= max without equal summands.
 
-    No sum of two allowed elements is allowed, and every element chosen
-    below exceeds the span, so the subtree counts the subsets of `allowed`
-    with no two elements a gap apart, the gaps being the chosen elements
-    inside allowed - allowed; neither convention matters.  The state is
+    No sum of two allowed elements is allowed (without equal summands, no
+    sum of two distinct ones), and every element chosen below exceeds the
+    span, so the subtree counts the subsets of `allowed` with no two
+    elements a gap apart, the gaps being the chosen elements inside
+    allowed - allowed; neither convention matters further.  A set no gap
+    fits in counts as freely as any other of its size, so its polynomial
+    is the binomial row, stored on its first miss.  Any other state is
     solved on the minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)),
     which is (1 + y) P(A - a) when a + gaps misses A.  The exclude chain
-    A, A - a, ... runs in a loop down to a solved state, and its states are
-    stored on the way back, so only the include branch recurses, through
-    _child, and the depth stays within `wanted`, as in _subtree.  wanted is
-    capped at |allowed| and is at least 2.
+    A, A - a, ... runs in a loop down to a solved state, a closed form
+    (wanted below 3) or a binomial row, and its states are stored on the
+    way back, so only the include branch recurses, through _child, and the
+    depth stays within `wanted`, as in _subtree.  wanted is capped at
+    |allowed| and is at least 3.
     """
     chain = []
     while True:
         # the key: the canonical translate, starting at span + 1, and the gaps inside its differences;
-        # a set that no gap fits in counts as freely as any other of its size, so it is keyed on {k, ..., 2k - 1}
+        # a gapless set is keyed on {k, ..., 2k - 1}; the shift, 2 min - max - 1, is -1 where 2 min = max: up one first
         if gaps:
-            allowed >>= 2 * ((allowed & -allowed).bit_length() - 1) - allowed.bit_length()
+            allowed = allowed << 1 >> 2 * (allowed & -allowed).bit_length() - 1 - allowed.bit_length()
             entry = memo.get(allowed)
             if entry is None:
                 entry = memo[allowed] = (_differences(allowed), {})
@@ -303,6 +331,13 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
             entry = memo.get(allowed)
             if entry is None:
                 entry = memo[allowed] = ((1 << k) - 2, {})  # differences 1, ..., k - 1
+            value = entry[1].get(wanted)
+            if value is None:  # a loop, not a generator: a closure would make k and width cells for all of _upper
+                value = 0
+                for j in range(wanted, -1, -1):
+                    value = value << width | comb(k, j)
+                entry[1][wanted] = value
+            break
         table = entry[1]
         key = gaps * width + wanted
         value = table.get(key)
@@ -316,8 +351,10 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
         k = rest.bit_count()
         if k < wanted:
             wanted = k
-        if wanted < 2:
+        if wanted < 3:
             value = 1 + (k << width)
+            if wanted == 2:
+                value += _pairs(rest, gaps, k) << 2 * width
             break
         allowed = rest
     field = (1 << width) - 1
@@ -409,7 +446,10 @@ def _solve(ubits: int, wanted: int, width: int, allow_equal: bool, budget: int) 
     """
     _refuse_unreachable(ubits, wanted, budget)
     memo: dict = {}
-    return _subtree(ubits, 0, wanted, memo, width, allow_equal, budget, 0), memo
+    value = _child(ubits, 0, wanted, memo, width, allow_equal, budget, 0)
+    if value % ((1 << width) - 1) > budget:  # a closed-form root checks nothing itself
+        _refuse(value, width, budget, 0)
+    return value, memo
 
 
 def sum_free_ranking(

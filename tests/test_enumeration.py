@@ -185,8 +185,8 @@ def test_counts_leave_no_garbage_cycles():
 
 
 def test_memo_states_are_reported():
-    # distinct states solved below the root; the oracle solves none
-    assert count_sum_free(32).states == 14_430
+    # distinct states solved, the root among them; the oracle solves none
+    assert count_sum_free(32).states == 14_416
     assert count_oracle(12).states == 0
     for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
         first, again = count_sum_free(n, m), count_sum_free(n, m)
@@ -226,11 +226,49 @@ def test_upper_solver_counts_gap_avoiding_subsets():
             assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, gaps, wanted)
 
 
+def test_child_closes_upper_states_wanting_two():
+    # an upper set (2 min > max, or 2 min = max without equal summands) wanting 2 more is closed: nothing is stored
+    rng = random.Random(17)
+    width = 42
+    for allow_equal in (True, False):
+        for _ in range(300):
+            lo = rng.randint(2, 39)
+            hi = min(40, 2 * lo - allow_equal)
+            elements = sorted(rng.sample(range(lo, hi + 1), min(hi - lo + 1, rng.randint(2, 11))))
+            gaps = [g for g in range(1, lo) if rng.random() < 0.3]  # chosen below the set, some above its span
+            sizes = gap_avoiding_sizes(elements, gaps)
+            memo = {}
+            value = enumeration._child(
+                sum(1 << v for v in elements), sum(1 << g for g in gaps), 2, memo, width, allow_equal, 0, 0
+            )
+            assert value == sizes[0] + (sizes[1] << width) + (sizes[2] << 2 * width), (elements, gaps, allow_equal)
+            assert memo == {}
+
+
+def test_window_budgets_refuse_exactly_above_their_nodes():
+    # the root of a window, {ceil(n/2) - a, ..., n}, can be a closed form itself: the budget still bounds it
+    for allow_equal in (True, False):
+        for n in range(1, 17):
+            for a in (0, 1):
+                lo = (n + 1) // 2 - a
+                if lo < 1:
+                    continue
+                profile = count_oracle(n, universe=range(lo, n + 1), allow_equal=allow_equal).by_size
+                for m in range(0, n - lo + 2):
+                    nodes = sum(c for size, c in profile.items() if size <= m)
+                    window = count_in_window(n, a, m, allow_equal=allow_equal, node_budget=nodes)
+                    assert window.count == profile.get(m, 0), (allow_equal, n, a, m)
+                    with pytest.raises(BudgetError) as err:
+                        count_in_window(n, a, m, allow_equal=allow_equal, node_budget=nodes - 1)
+                    assert err.value.estimate == nodes - 1 and err.value.partial[2] >= nodes, (allow_equal, n, a, m)
+
+
 def test_upper_universes_match_oracle():
-    # every universe {lo, ..., n} with 2 lo > n: the root's children are all upper
+    # every universe {lo, ..., n} with 2 lo >= n: the root's children are all upper, and so is the root when
+    # 2 lo > n, or 2 lo = n without equal summands
     for allow_equal in (True, False):
         for n in range(1, 23):
-            for lo in range(n // 2 + 1, n + 1):
+            for lo in range(max(1, n // 2), n + 1):
                 universe = range(lo, n + 1)
                 want = count_oracle(n, universe=universe, allow_equal=allow_equal)
                 got = count_sum_free(n, universe=universe, allow_equal=allow_equal)

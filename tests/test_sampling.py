@@ -4,10 +4,10 @@ from collections import Counter
 from math import comb
 
 import pytest
-from scipy.stats import chi2
 
 from sumfree.cli import main
 from sumfree.enumeration import sum_free_ranking
+from sumfree.verify import chi2_quantile
 from sumfree import (
     BudgetError,
     count_sum_free,
@@ -68,9 +68,24 @@ def test_histogram_mass_and_quantiles():
     assert rep.ell_quantiles[0] <= rep.ell_quantiles[2] <= rep.ell_quantiles[-1]
 
 
+def test_chi2_quantile_matches_reference_values():
+    # scipy.stats.chi2.ppf(p, df), scipy 1.17.1; df = 136 is the (12, 3) support less one, as the checks use
+    reference = {
+        (0.5, 1): 0.454936423119572,
+        (0.95, 1): 3.841458820694124,
+        (0.999, 2): 13.815510557964274,
+        (0.95, 10): 18.307038053275146,
+        (0.999, 10): 29.58829844507442,
+        (0.5, 136): 135.33391742963482,
+        (0.999, 136): 192.70716872129785,
+    }
+    for (p, df), want in reference.items():
+        assert chi2_quantile(p, df) == pytest.approx(want, rel=1e-11), (p, df)
+
+
 def test_chi_square_uniformity_quick():
     support = [s.to_set() for s in enumerate_sum_free(12, 3)]
-    threshold = chi2.ppf(0.999, len(support) - 1)
+    threshold = chi2_quantile(0.999, len(support) - 1)
     for seed in (0, 1):
         counts = Counter()
         for s in draw_sum_free(12, 3, 3000, seed=seed):
