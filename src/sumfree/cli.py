@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:  # OverflowError: a value past the float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

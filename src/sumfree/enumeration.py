@@ -1,9 +1,9 @@
 """Exact counting and listing of sum-free m-subsets of {1, ..., n}.
 
 count_oracle is the ground truth: it checks every subset of the universe
-(|universe| <= 24) against every relation x + y = z, each held as one
-mask of its three bits, in vectorized blocks of 2^16 subset masks.  The
-relations inside a block's low 16 bits are tested once for all blocks,
+(|universe| <= 24) against every relation x + y = z, in blocks of 2^14
+subsets, each block's verdicts one bit each of a Python integer.  The
+relations inside a block's low 14 bits are tested once for all blocks,
 and the blocks are walked depth-first over their high bits, each testing
 only the relations its last high bit completes.  It shares no code with
 the search, which has two engines: a memo for counts and a walk for
@@ -74,7 +74,7 @@ from .intset import IntSet, coerce_bits, iter_bits
 DEFAULT_NODE_BUDGET = 2 * 10**8
 DEFAULT_STREAM_BUDGET = 10**6
 ORACLE_MAX_UNIVERSE = 24
-ORACLE_BLOCK = 1 << 16  # subset masks per block, a power of two; larger blocks fall out of cache
+ORACLE_BLOCK = 1 << 14  # subsets per block, one bit each of a keep mask; a power of two, fastest at 20-24 elements
 STACK_HEADROOM = 100  # interpreter frames left to the callers of a count
 
 
@@ -127,18 +127,20 @@ def count_oracle(
     among universe elements is one mask of its bits, and a subset is not
     sum-free when it contains all of some relation's bits.  The low
     log2(ORACLE_BLOCK) bits of a subset mask are its offset in a block and
-    the other, high, bits number the blocks.  The relations inside the low
-    bits are tested once, on every offset, into a base keep mask.  The
-    blocks are walked depth-first over their high bits, and each relation
-    with high bits is tested at the block that sets the highest of them,
-    once all of them are set, into a copy of its parent's mask that every
+    the other, high, bits number the blocks.  A block's keep mask is one
+    integer with bit o set while the subset at offset o may be sum-free.
+    The offsets holding all of a relation's low bits are the AND of at most
+    three fixed masks, one per bit b, of the offsets with bit b set, and
+    ANDing a keep mask with their complement clears them.  The relations
+    inside the low bits are cleared once, on every offset, into a base keep
+    mask.  The blocks are walked depth-first over their high bits, and each
+    relation with high bits is cleared at the block that sets the highest
+    of them, once all of them are set, from its parent's mask, which every
     block below inherits.  So every subset is tested against every
-    relation, and a block pays only for the relations new to it.  The
-    offsets are sorted by popcount, so a block's sets by size are sums over
-    slices of its mask, shifted by the popcount of its high bits.
+    relation, and a block pays only for the relations new to it.  A
+    block's sets of each size are the popcount of its mask ANDed with the
+    offsets of one popcount, shifted by the popcount of its high bits.
     """
-    import numpy as np  # only the oracle needs numpy; keeps it out of start-up
-
     t0 = time.perf_counter()
     ubits = _universe_bits(n, universe, m)
     elements = [v for v in range(1, n + 1) if (ubits >> v) & 1]
@@ -149,39 +151,47 @@ def count_oracle(
             estimate=2**u,
         )
     low = min(ORACLE_BLOCK.bit_length() - 1, u)
+    has, by_pop = [], [1]  # over the offsets of a block: has[b] those with bit b set, by_pop[s] those with s bits set
+    for b in range(low):  # doubling: offsets o + 2^b repeat those at o, with bit b set
+        width = 1 << b
+        has = [h | h << width for h in has] + [((1 << width) - 1) << width]
+        by_pop = [p | q << width for p, q in zip(by_pop + [0], [0] + by_pop)]
+    everything = (1 << (1 << low)) - 1
+
+    def spared(rel_low):  # the offsets not holding all of a relation's low bits
+        mask = everything
+        for b in iter_bits(rel_low):
+            mask &= has[b]
+        return everything ^ mask
+
     index = {v: i for i, v in enumerate(elements)}
-    base, by_top = [], [[] for _ in range(u - low)]  # by_top[t]: (high bits, low bits) of the relations topped by t
+    keep, by_top = everything, [[] for _ in range(u - low)]  # by_top[t]: (high bits, spared) of the relations topped by t
     for i, x in enumerate(elements):
         for j in range(i if allow_equal else i + 1, u):
             kdx = index.get(x + elements[j])
             if kdx is not None:
                 rel = (1 << i) | (1 << j) | (1 << kdx)
-                rel_high, rel_low = rel >> low, rel & ((1 << low) - 1)
+                rel_high, rel_spared = rel >> low, spared(rel & ((1 << low) - 1))
                 if rel_high:
-                    by_top[rel_high.bit_length() - 1].append((rel_high, rel_low))
+                    by_top[rel_high.bit_length() - 1].append((rel_high, rel_spared))
                 else:
-                    base.append(rel_low)
-    offsets = np.arange(1 << low, dtype=np.min_scalar_type((1 << low) - 1))
-    offsets = offsets[np.argsort(np.bitwise_count(offsets), kind="stable")]  # stable: a radix sort of uint8 keys
-    starts = np.searchsorted(np.bitwise_count(offsets), np.arange(low + 1))  # the first offset of each popcount
+                    keep &= rel_spared
 
-    def drop(keep, rel_lows):  # clear the offsets holding all of a relation's low bits
-        for rel in rel_lows:
-            keep &= (offsets & rel) != rel
-        return keep
-
-    by_size_arr = np.zeros(u + 1, dtype=np.int64)
+    counts = [0] * (u + 1)
 
     def visit(high, keep, top):
         size = high.bit_count()
-        by_size_arr[size : size + low + 1] += np.add.reduceat(keep, starts, dtype=np.int64)
+        for s, offsets in enumerate(by_pop, size):
+            counts[s] += (keep & offsets).bit_count()
         for t in range(top, u - low):
-            child = high | 1 << t
-            new = [rel_low for rel_high, rel_low in by_top[t] if rel_high & child == rel_high]
-            visit(child, drop(keep.copy(), new) if new else keep, t + 1)
+            child, child_keep = high | 1 << t, keep
+            for rel_high, rel_spared in by_top[t]:
+                if rel_high & child == rel_high:
+                    child_keep &= rel_spared
+            visit(child, child_keep, t + 1)
 
-    visit(0, drop(np.ones(1 << low, dtype=bool), base), 0)
-    by_size = {s: int(c) for s, c in enumerate(by_size_arr) if c and (m is None or s == m)}
+    visit(0, keep, 0)
+    by_size = {s: c for s, c in enumerate(counts) if c and (m is None or s == m)}
     return CountResult(
         total=sum(by_size.values()),
         by_size=by_size,

@@ -132,7 +132,11 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
     their sumsets).  The nodes of that pruned tree are the subsets S with
     |S+S| <= cap that still fit m - |S| larger elements, the empty set
     included.  Once more than `budget` of them are visited it refuses,
-    with (sets found, nodes visited) as partial.
+    with (sets found, nodes visited) as partial.  Every candidate past
+    2 max(S) - min(S) adds the same number of sums, so those candidates all
+    fit or none does: the search stops before them when none does and
+    counts the m-sets among them in closed form, so no scan outruns the
+    budget, however large n is.
     """
     if n < 1 or m < 0 or cap < 0:
         raise ValueError("need n >= 1, m >= 0, cap >= 0")
@@ -146,8 +150,15 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
         nonlocal found, nodes
         check()
         stop = n - (m - picked) + 2
+        kept = 0
+        # each v > 2 max(S) - min(S) adds |S| + 1 sums above max(S + S), so all of those v fit or none does
+        uniform = 2 * start - (bits & -bits).bit_length()  # max(S) = start - 1; 2 at the root
+        if uniform < stop:
+            if ss.bit_count() + picked >= cap:
+                stop = uniform
+            elif picked == m - 1:
+                kept, stop = stop - uniform, uniform
         if picked == m - 1:  # the children are the m-sets: count them without descending
-            kept = 0
             for v in range(start, stop):
                 if (ss | (bits | 1 << v) << v).bit_count() <= cap:
                     kept += 1

@@ -258,6 +258,19 @@ def test_gamma_sum_past_the_float_range_exits_2(capsys):
     assert (code, out) == (2, "") and err == "error: a = 1000, b = 1.0: the sum is about e^5912.13, past the float range\n"
 
 
+def test_values_past_the_float_range_exit_2(capsys):
+    # each of these ended in an OverflowError traceback and exit 1, the code of a failed verification
+    huge = "9" * 400
+    for argv in (f"inequalities --kind binom --a {huge} --b 3 --c 1",
+                 f"inequalities --kind gamma --a {huge} --gamma-b 1",
+                 f"bounds --name CEthm --n {huge} --m 3 --bigc 1",
+                 f"bounds --name parts --k 10 --ell {huge}",
+                 "bounds --name conj --cap 1e308 --m 3 --delta 1",
+                 f"constant --n {huge} --m 3 --count 5"):
+        code, out, err = run(argv.split(), capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error:"), (argv[:40], err)
+
+
 def test_trend_budget_reaches_strata_and_samples(capsys):
     for n_list in ("20", "30"):  # exact strata up to TREND_EXACT_LIMIT, samples beyond
         code, out, err = run(["trend", "--n-list", n_list, "--count", "10", "--budget", "1"], capsys)
@@ -298,6 +311,15 @@ def test_cli_import_loads_no_process_pool():
     env = {"PYTHONPATH": str(Path(sumfree.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_smallsumset_budget_holds_on_large_n():
+    # the search scanned every v up to n, counting only the ones that fit the cap toward the budget
+    env = {"PYTHONPATH": str(Path(sumfree.__file__).resolve().parents[1])}
+    for argv, code in (("--m 2 --cap 2", 3), ("--m 3 --cap 0", 0), ("--m 1 --cap 5", 3)):
+        cmd = [sys.executable, "-m", "sumfree.cli", "smallsumset", "--n", "1000000000", "--budget", "10", *argv.split()]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == code, (argv, proc.stderr)
 
 
 SMALL = {"--n": "8", "--ground": "4", "--count": "5", "--n-list": "8,10", "--family": "1,2|2,3", "--delta": "1/4"}

@@ -4,6 +4,7 @@ import gc
 import json
 import pickle
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -57,7 +58,7 @@ def test_oracle_matches_pure_python_brute_force():
 
 
 def test_oracle_block_walk_matches_pure_python_brute_force(monkeypatch):
-    # at the real block size the high bits are walked only above 16 elements
+    # at the real block size the high bits are walked only above 14 elements
     monkeypatch.setattr(enumeration, "ORACLE_BLOCK", 1 << 3)
     check_oracle_against_brute_force()
 
@@ -76,6 +77,14 @@ def check_oracle_against_brute_force():
                     res = count_oracle(n, m, universe, allow_equal)
                     assert res.by_size == ({m: want[m]} if m in want else {}), (n, universe, allow_equal, m)
                     assert res.nodes == 1 << len(elements)
+
+
+def test_oracle_imports_no_numpy():
+    # every mask is a Python int: the package needs nothing outside the standard library
+    code = "import sys, sumfree.cli; sumfree.count_oracle(20); print('numpy' in sys.modules)"
+    env = {"PYTHONPATH": str(Path(enumeration.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
 def test_search_matches_oracle_small():
