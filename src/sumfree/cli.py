@@ -9,7 +9,8 @@ With --cache DIR a query is fingerprinted over (op, params, format) and a
 hit is replayed byte-identically without running the query.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad config
-file and an unusable cache directory included), 3 budget exceeded.  A
+file and an unusable cache directory included), 3 budget exceeded (or the
+interpreter's stack or memory, on a query no budget foresaw).  A
 key=value config file (--config) presets budget, format, seed and cache;
 flags always win.
 """
@@ -409,6 +410,9 @@ def main(argv=None) -> int:
             sys.stdout.write(out.getvalue())
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:  # the interpreter's stack or memory ran out where no budget did
+        print(f"resource error: {type(exc).__name__}: {exc}".rstrip(": "), file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, OverflowError) as exc:  # OverflowError: a value past the float range
         print(f"error: {exc}", file=sys.stderr)

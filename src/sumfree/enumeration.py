@@ -25,16 +25,20 @@ allowed set has 2 min > max, as the top half of {1, ..., n} does, or
 2 min >= max without equal summands, so no two allowed elements (no two
 distinct ones) sum to a third and only the chosen gaps matter.  An upper
 state counts the subsets of its allowed set with no two elements a gap
-apart.  Wanting at most 2 more elements, it is closed: C(k, 2) pairs less
-those a gap apart.  A gapless one is the binomial row of its size k,
-keyed on {k, ..., 2k - 1}.  Any other is keyed on its canonical
+apart, the gaps being those in its difference set.  Wanting at most 2
+more elements, it is closed: C(k, 2) pairs less those a gap apart.  With
+a single gap g it is closed too: the pairs g apart join its elements into
+paths, the runs x, x + g, x + 2g, ... of the allowed set, and its
+polynomial is the product of the paths' polynomials, one power per run
+length.  A gapless one is the binomial row of its size k, one power of
+1 + y, keyed on {k, ..., 2k - 1}.  Any other is keyed on its canonical
 translate, the one starting at span + 1, and solved by branching on its
 minimum.  The other states loop over every allowed element.  The memo
 lives for one call and has two levels: one entry per allowed set,
 holding that set's difference set, computed once, and a table of the
 states that share the set.  A repeated state costs two dict lookups.  At
-n = 32 there are 14,416 states, the root and 913 others not upper, on
-3,715 allowed sets, and the states grow about 2.8x for each +4 in n; the
+n = 32 there are 10,729 states, the root and 913 others not upper, on
+3,588 allowed sets, and the states grow about 2.9x for each +4 in n; the
 ascending loop alone needed 12,442, but each took about 7 children.  A
 count that must cover more nodes than its budget, by a lower bound from
 the odd elements and the upper half, or recurse deeper than the
@@ -254,14 +258,14 @@ def _child(
     is (allowed, chosen reduced to that difference set, wanted).  wanted is
     capped at |allowed|, which no subtree exceeds, so it stays below width.
     Below 2 the polynomial is closed, and so is an upper state's at 2 (see
-    _pairs); any other upper state goes to _upper, which keys it on its
-    canonical translate; any other state is read from, or solved into, the
-    memo.  That has one entry per allowed set: its difference set,
-    computed once, and a table from the reduced chosen and wanted, packed
-    as chosen * width + wanted, to the subtree's polynomial.  A full
-    profile keys on the first two alone, and a fixed m reaches only states
-    within m levels of the root.  A closed form is not checked against the
-    budget; its parent is, or, at the root, _solve.
+    _pairs); any other upper state goes to _upper, which closes it with
+    one gap or keys it on its canonical translate; any other state is read
+    from, or solved into, the memo.  That has one entry per allowed set:
+    its difference set, computed once, and a table from the reduced chosen
+    and wanted, packed as chosen * width + wanted, to the subtree's
+    polynomial.  A full profile keys on the first two alone, and a fixed m
+    reaches only states within m levels of the root.  A closed form is not
+    checked against the budget; its parent is, or, at the root, _solve.
     """
     k = allowed.bit_count()
     if k < wanted:
@@ -316,14 +320,15 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
     elements a gap apart, the gaps being the chosen elements inside
     allowed - allowed; neither convention matters further.  A set no gap
     fits in counts as freely as any other of its size, so its polynomial
-    is the binomial row, stored on its first miss.  Any other state is
+    is the binomial row, stored on its first miss.  A set exactly one gap
+    fits in is closed by _one_gap and not stored.  Any other state is
     solved on the minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)),
     which is (1 + y) P(A - a) when a + gaps misses A.  The exclude chain
     A, A - a, ... runs in a loop down to a solved state, a closed form
-    (wanted below 3) or a binomial row, and its states are stored on the
-    way back, so only the include branch recurses, through _child, and the
-    depth stays within `wanted`, as in _subtree.  wanted is capped at
-    |allowed| and is at least 3.
+    (wanted below 3, or one gap) or a binomial row, and its states are
+    stored on the way back, so only the include branch recurses, through
+    _child, and the depth stays within `wanted`, as in _subtree.  wanted is
+    capped at |allowed| and is at least 3.
     """
     chain = []
     while True:
@@ -342,11 +347,11 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
             if entry is None:
                 entry = memo[allowed] = ((1 << k) - 2, {})  # differences 1, ..., k - 1
             value = entry[1].get(wanted)
-            if value is None:  # a loop, not a generator: a closure would make k and width cells for all of _upper
-                value = 0
-                for j in range(wanted, -1, -1):
-                    value = value << width | comb(k, j)
-                entry[1][wanted] = value
+            if value is None:  # (1 + y)^k: its fields are C(k, j) < 2^width, so none carries
+                value = entry[1][wanted] = ((1 << width) + 1) ** k & (1 << width * (wanted + 1)) - 1
+            break
+        if not gaps & gaps - 1:  # one gap fits: closed, not stored
+            value = _one_gap(allowed, gaps.bit_length() - 1, wanted, width)
             break
         table = entry[1]
         key = gaps * width + wanted
@@ -376,6 +381,38 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget:
     return value
 
 
+def _one_gap(allowed: int, g: int, wanted: int, width: int) -> int:
+    """By-size polynomial of the subsets of `allowed` with no two elements g apart, up to `wanted` elements.
+
+    The pairs g apart join the elements into paths x, x + g, x + 2g, ...,
+    the maximal runs of `allowed` in steps of g, and a subset avoids the gap
+    exactly when it does on each path.  A path of L elements has P_0 = 1,
+    P_1 = 1 + y and P_L = P_{L-1} + y P_{L-2} (its first element left out,
+    or taken and the second left out), so the polynomial is the product of
+    P_L over the runs, one power per run length.  Every coefficient of it
+    counts subsets of `allowed`, at most 2^(width - 2), so no field carries
+    into the next and each factor can be truncated to `wanted` fields.
+    """
+    mask = (1 << width * (wanted + 1)) - 1
+    pairs = allowed & allowed >> g
+    if not pairs & allowed >> 2 * g:  # no run longer than 2: P_1 for each element in no pair, P_2 for each pair
+        p = pairs.bit_count()
+        return ((1 << width) + 1) ** (allowed.bit_count() - 2 * p) * ((2 << width) + 1) ** p & mask
+    reach = allowed & ~(allowed << g)  # the runs' starts, then those whose runs reach `length` more elements
+    runs = reach.bit_count()  # the runs of at least `length` elements
+    value, length = 1, 1
+    shorter, path = 1, 1 + (1 << width)  # P_{length - 1} and P_length
+    while runs:
+        reach &= allowed >> length * g
+        longer = reach.bit_count()
+        if runs > longer:
+            value = value * path ** (runs - longer) & mask
+        runs = longer
+        length += 1
+        shorter, path = path, path + (shorter << width)
+    return value
+
+
 def _refuse_unreachable(ubits: int, wanted: int, budget: int, joint: Optional[dict] = None) -> None:
     """Refuse, before searching, a count the budget or the interpreter cannot reach.
 
@@ -384,10 +421,15 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int, joint: Optional[di
     largest.  So the count covers at least sum_{j <= wanted} C(u, j) nodes,
     u the larger of those two element counts, and it refuses as the memo
     would, with that sum (its terms added until it passes the budget) in
-    partial.  The memo recurses once per chosen element, so it also refuses
-    when wanted exceeds the recursion limit less STACK_HEADROOM.  `joint` is
-    the partial's middle: None for a count, no strata yet ({}) for strata.
+    partial.  That sum is at most 2^u <= 2^|universe|, so a budget of at
+    least 2^|universe| passes it without summing.  The memo recurses once
+    per chosen element, so it also refuses when wanted exceeds the
+    recursion limit less STACK_HEADROOM.  `joint` is the partial's middle:
+    None for a count, no strata yet ({}) for strata.
     """
+    limit = sys.getrecursionlimit()
+    if budget >> ubits.bit_count() > 0 and wanted <= limit - STACK_HEADROOM:
+        return  # 2^|universe| <= budget
     half = (ubits.bit_length() + 1) // 2  # elements >= half sum past the largest
     odd = ubits & (((1 << 2 * half) - 1) // 3 << 1)  # bits 1, 3, ..., 2 * half - 1
     u = max(odd.bit_count(), (ubits >> half).bit_count())
@@ -396,7 +438,6 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int, joint: Optional[di
         bound += comb(u, j)
         if bound > budget:
             break
-    limit = sys.getrecursionlimit()
     if bound > budget:
         message = f"search node budget exceeded ({budget})"
     elif wanted > limit - STACK_HEADROOM:
@@ -438,7 +479,11 @@ def count_sum_free(
         return CountResult(0, {}, "memo", 0.0, 0)
     width = n + 2
     value, memo = _solve(ubits, ubits.bit_count() if m is None else m, width, allow_equal, node_budget)
-    by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c and (m is None or j == m)}
+    if m is None:
+        by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c}
+    else:
+        count = value >> width * m & (1 << width) - 1
+        by_size = {m: count} if count else {}
     return CountResult(
         total=sum(by_size.values()),
         by_size=by_size,

@@ -18,9 +18,11 @@ the budget; results are exact integers, never truncated.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from typing import Iterator, Optional
 
+from .enumeration import STACK_HEADROOM
 from .errors import BudgetError
 from .intset import bits_of
 from .sumsets import sumsetbits
@@ -136,10 +138,17 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
     2 max(S) - min(S) adds the same number of sums, so those candidates all
     fit or none does: the search stops before them when none does and
     counts the m-sets among them in closed form, so no scan outruns the
-    budget, however large n is.
+    budget, however large n is.  The search recurses once per element, so
+    an m <= n above the recursion limit less STACK_HEADROOM refuses before
+    searching, with (0, 0) as partial.
     """
     if n < 1 or m < 0 or cap < 0:
         raise ValueError("need n >= 1, m >= 0, cap >= 0")
+    limit = sys.getrecursionlimit()
+    if limit - STACK_HEADROOM < m <= n:
+        raise BudgetError(
+            f"search depth {m} exceeds the interpreter's recursion limit ({limit})", estimate=budget, partial=(0, 0)
+        )
     found, nodes = int(m == 0), 1  # the root is the empty set
 
     def check() -> None:

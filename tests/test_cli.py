@@ -90,9 +90,23 @@ def test_budget_exit_3(capsys):
         code, _, err = run(argv + ["--budget", "100"], capsys)
         assert code == 3 and "budget" in err
     # far beyond the default budget: refused before the search, not by the interpreter's recursion limit
-    for argv in (["count", "--n", "3000"], ["strata", "--n", "3000", "--m", "4"]):
+    for argv in (["count", "--n", "3000"], ["strata", "--n", "3000", "--m", "4"],
+                 ["smallsumset", "--n", "3000", "--m", "2000", "--cap", "100000000"]):
         code, out, err = run(argv, capsys)
         assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:"), (argv, err)
+
+
+def test_resource_errors_exit_3(capsys, monkeypatch):
+    # a query past the interpreter's stack or memory that no budget foresaw ended in a traceback and exit 1
+    for error in (RecursionError("maximum recursion depth exceeded"), MemoryError()):
+
+        def call(**_params):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "count", cli.COMMANDS["count"]._replace(call=call))
+        code, out, err = run(["count", "--n", "10"], capsys)
+        assert (code, out, err.count("\n")) == (3, "", 1), err
+        assert err.startswith(f"resource error: {type(error).__name__}") and "Traceback" not in err, err
 
 
 def test_budget_zero_refuses(capsys):

@@ -195,7 +195,7 @@ def test_counts_leave_no_garbage_cycles():
 
 def test_memo_states_are_reported():
     # distinct states solved, the root among them; the oracle solves none
-    assert count_sum_free(32).states == 14_416
+    assert count_sum_free(32).states == 10_729
     assert count_oracle(12).states == 0
     for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
         first, again = count_sum_free(n, m), count_sum_free(n, m)
@@ -252,6 +252,32 @@ def test_child_closes_upper_states_wanting_two():
             )
             assert value == sizes[0] + (sizes[1] << width) + (sizes[2] << 2 * width), (elements, gaps, allow_equal)
             assert memo == {}
+
+
+def test_child_closes_upper_states_with_one_gap():
+    # every upper set of span <= 10 under each convention's rule (2 min > max, or 2 min = max without equal
+    # summands), each single gap g <= span and every wanted from 3 up: a gap that is a difference is closed as a
+    # product of paths and stores nothing; one that is not leaves the stored binomial row
+    width = 13
+    for span in range(2, 11):
+        for inner in range(1 << span - 1):
+            shape = 1 | inner << 1 | 1 << span  # the set less its minimum, from 0 to span
+            k = shape.bit_count()
+            if k < 3:
+                continue
+            elements = [v for v in range(span + 1) if shape >> v & 1]
+            for g in range(1, span + 1):
+                sizes = gap_avoiding_sizes(elements, [g])
+                closed = bool(shape & shape >> g)
+                for allow_equal, lo in ((True, span + 1), (True, span + 3), (False, span)):
+                    allowed = shape << lo
+                    for wanted in range(3, k + 1):
+                        memo = {}
+                        value = enumeration._child(allowed, 1 << g, wanted, memo, width, allow_equal, 2**40, 0)
+                        want = [sizes[j] for j in range(wanted + 1)]
+                        got = [value >> width * j & (1 << width) - 1 for j in range(wanted + 1)]
+                        assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, g, lo, wanted)
+                        assert sum(len(table) for _diffs, table in memo.values()) == (not closed), (elements, g)
 
 
 def test_window_budgets_refuse_exactly_above_their_nodes():
@@ -383,6 +409,45 @@ def test_hopeless_counts_refuse_before_searching():
     with pytest.raises(BudgetError):
         count_sum_free(3000, node_budget=10**1000)
     assert time.perf_counter() - t0 < 2
+
+
+def test_unreachable_counts_refuse_where_the_lower_bound_passes_the_budget():
+    # the up-front check returns at once when 2^|universe| <= budget; it refuses exactly where summing the lower
+    # bound sum_{j <= wanted} C(u, j) does, u the larger of the odd and the upper elements, budgets 2^u and
+    # 2^|universe| give or take one and negative ones included, and a search deeper than the recursion limit
+    # still refuses
+    def summed(ubits, wanted, budget):
+        half = (ubits.bit_length() + 1) // 2
+        u = max(sum(ubits >> x & 1 for x in range(1, 2 * half, 2)), (ubits >> half).bit_count())
+        bound = 0
+        for j in range(min(u, wanted) + 1):
+            bound += comb(u, j)
+            if bound > budget:
+                break
+        return u, bound
+
+    rng = random.Random(23)
+    universes = [sum(1 << x for x in range(1, n + 1, step)) for n in range(0, 41) for step in (1, 2)]
+    universes += [sum(1 << x for x in range(1, n + 1) if rng.random() < 0.6) for n in rng.choices(range(45), k=120)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        universes += [(1 << 401) - 2, sum(1 << x for x in range(1, 401, 2))]
+        for ubits in universes:
+            size = ubits.bit_count()
+            u = summed(ubits, size, 0)[0]
+            for wanted in {0, 1, min(2, size), size // 2, size}:
+                for budget in {2**u - 1, 2**u, 2**u + 1, 2**size - 1, 2**size, 2**size + 1, -1, -(2**size)}:
+                    bound = summed(ubits, wanted, budget)[1]
+                    refused = bound > budget or wanted > 300 - enumeration.STACK_HEADROOM
+                    try:
+                        enumeration._refuse_unreachable(ubits, wanted, budget)
+                    except BudgetError as err:
+                        assert refused and err.partial == ({}, None, bound), (ubits, wanted, budget)
+                    else:
+                        assert not refused, (ubits, wanted, budget)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_budget_error_survives_pickling():

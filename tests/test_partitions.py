@@ -1,6 +1,7 @@
 """Partition counting: closed recurrences against direct enumeration."""
 
 import math
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -162,6 +163,22 @@ def test_count_small_sumset_sets_budgets_visited_nodes():
             count_small_sumset_sets(n, m, cap, budget=nodes - 1)
         found, visited = err.value.partial
         assert err.value.estimate == nodes - 1 and visited >= nodes and found <= count, (n, m, cap)
+
+
+def test_small_sumset_search_deeper_than_the_stack_refuses_before_searching():
+    # it recursed once per element into a RecursionError; the default budget would allow this query
+    with pytest.raises(BudgetError) as err:
+        count_small_sumset_sets(3000, 2000, 10**8)
+    assert "recursion limit" in str(err.value) and err.value.partial == (0, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        with pytest.raises(BudgetError):
+            count_small_sumset_sets(3000, 301, 0)
+        assert count_small_sumset_sets(3000, 300, 0) == 0  # cap 0: no element fits, no recursion
+        assert count_small_sumset_sets(300, 301, 10**8) == 0  # no 301-subset of {1, ..., 300}
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_hardy_ramanujan_window():
