@@ -6,70 +6,62 @@ subsets, each block's verdicts one bit each of a Python integer.  The
 relations inside a block's low 14 bits are tested once for all blocks,
 and the blocks are walked depth-first over their high bits, each testing
 only the relations its last high bit completes.  It shares no code with
-the search, which has two engines: a memo for counts and a walk for
-listings, and strata use both.
+the search, which has one walk: counts, strata and the sampler's ranking
+walk its low prefixes, listings walk every node.
 
-count_sum_free picks elements in ASCENDING order, the order of the walk
-below, while maintaining the allowed bitmap: after choosing x, any larger
-c + x with c already chosen, or 2x under the default convention, is dead.
-Every node of that tree is a sum-free set and every sum-free set occurs
-as exactly one node, but the nodes are not visited one by one.  The
-subtree below a state depends only on the allowed elements and on the
-chosen elements inside allowed - allowed, the positive differences: a
-later kill c + y = z needs both y and z allowed, so any other chosen
-element never matters again.  A small chosen element is rarely such a
-difference, so many states share a key.  Each distinct state is solved
-once, as the by-size generating polynomial of its subtree packed into one
-integer (one n + 2 bit field per size).  Most states are upper: their
-allowed set has 2 min > max, as the top half of {1, ..., n} does, or
-2 min >= max without equal summands, so no two allowed elements (no two
-distinct ones) sum to a third and only the chosen gaps matter.  An upper
-state counts the subsets of its allowed set with no two elements a gap
-apart, the gaps being those in its difference set.  Wanting at most 2
-more elements, it is closed: C(k, 2) pairs less those a gap apart.  With
-a single gap g it is closed too: the pairs g apart join its elements into
-paths, the runs x, x + g, x + 2g, ... of the allowed set, and its
-polynomial is the product of the paths' polynomials, one power per run
-length.  A gapless one is the binomial row of its size k, one power of
-1 + y, keyed on {k, ..., 2k - 1}.  Any other is keyed on its canonical
-translate, the one starting at span + 1, and solved by branching on its
-minimum.  The other states loop over every allowed element.  The memo
-lives for one call and has two levels: one entry per allowed set,
-holding that set's difference set, computed once, and a table of the
-states that share the set.  A repeated state costs two dict lookups.  At
-n = 32 there are 10,729 states, the root and 913 others not upper, on
-3,588 allowed sets, and the states grow about 2.9x for each +4 in n; the
-ascending loop alone needed 12,442, but each took about 7 children.  A
-count that must cover more nodes than its budget, by a lower bound from
-the odd elements and the upper half, or recurse deeper than the
-interpreter allows, refuses before searching.  Since the memo knows how
-many m-sets lie below each state, it also unranks: sum_free_ranking maps
-each rank below the count to the set of that rank in listing order, which
-is how the sampler draws exactly uniform sets.
+Every search adds elements in ASCENDING order while maintaining the
+allowed bitmap: after choosing x, any larger c + x with c already chosen,
+or 2x under the default convention, is dead.  Every node of that tree is a
+sum-free set and every sum-free set occurs as exactly one node.  The paper
+splits a sum-free set into its low part and a top part, and so do the
+counts: the elements x with 2x > max (2x >= max without equal summands)
+form an upper set, in which no two elements (no two distinct ones) sum to
+a third, and the search chooses every low element before any high one.
+So a count walks the sum-free low prefixes one by one and multiplies each
+by its completions: the subsets of the high elements the prefix leaves
+alive with no two elements a chosen element apart, an upper state: the
+independent sets of the prefix's forbidden-pair graph on the top half,
+edges {x, x + s} for chosen s (bounds.build_pair_graph).  _upper counts them as a by-size
+generating polynomial packed into one integer (one n + 2 bit field per
+size): closed forms when at most 2 more elements are wanted (C(k, 2) pairs
+less those a gap apart), when no gap fits (the binomial row, one power of
+1 + y) or when exactly one gap g fits (a product of path polynomials over
+the runs x, x + g, x + 2g, ...), and otherwise by branching on the minimum,
+keyed on the canonical translate, the one starting at span + 1, and on the
+gaps inside its difference set.  The memo lives for one call and stores
+upper states only: one entry per allowed set with a stored state, holding
+that set's difference set, computed once, and a table of the states that
+share it.  At n = 32 the 1,954 low prefixes reach 12,877 states on 2,773
+allowed sets, and the states grow about 3x for each +4 in n.  A prefix one
+element short is not extended: any allowed element completes it.  A count
+that must cover more nodes than its budget, by a lower bound from the odd
+elements and the upper half, or recurse deeper than the interpreter
+allows, refuses before searching; otherwise the walk refuses after the
+prefix that passes the budget.  The same prefixes, taken in post-order,
+rank the sum-free m-sets: sum_free_ranking maps each rank below the count
+to the set of that rank in listing order, unranked inside its prefix's
+upper state, which is how the sampler draws exactly uniform sets.
 
 Listings need the sets themselves, so enumerate_sum_free walks the nodes
 one by one in ascending set order, skipping branches that cannot reach
-size m.  Strata by the low-part statistics (ell, k, all-odd flag) need only
-the low part, the elements x with 2x <= n, and the ascending search chooses
-all of those before any high element.  So stratified_counts walks the
-sum-free low prefixes alone and reads the high completions of each
-through the memo's dispatch, so prefixes whose high parts reduce to one
-canonical upper state share its entry; an all-odd prefix kills only even
-numbers, so its all-odd completions are a binomial.  Strata budget the
-count's nodes, summed over the prefixes, and refuse before searching
-exactly when the count of the same size does.  Everything runs in one
-process.
+size m.  Strata by the low-part statistics (ell, k, all-odd flag) are
+tallies over the same prefixes, with the upper part cut at 2x > n where
+those statistics are defined; an all-odd prefix kills only even numbers,
+so its all-odd completions are a binomial.  Windows and strata share the
+count's budget and refusals.  Everything runs in one process.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
-from typing import Callable, Iterator, NoReturn, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import ALLOW_EQUAL_DEFAULT
 from .errors import BudgetError
@@ -92,8 +84,8 @@ class CountResult:
     elapsed  -- wall seconds
     nodes    -- subsets inspected by the oracle; for the search, the tree
                 nodes covered: the sum-free sets of size <= m (all if m is None)
-    states   -- distinct search states the memo solved and stored, the root
-                among them unless closed (0 for the oracle)
+    states   -- distinct upper states the memo solved and stored (0 for the
+                oracle)
     """
 
     total: int
@@ -205,8 +197,9 @@ def count_oracle(
     )
 
 
+
 # ----------------------------------------------------------------------
-# Counts: memoized subtree polynomials over the ascending search
+# Counts: low prefixes times upper completions
 
 
 def _differences(bits: int) -> int:
@@ -220,72 +213,74 @@ def _differences(bits: int) -> int:
     return out
 
 
-def _subtree(
-    allowed: int, chosen: int, wanted: int, memo: dict, width: int, allow_equal: bool, budget: int, size: int
-) -> int:
-    """By-size generating polynomial of the search subtree below one state.
+def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int) -> int:
+    """By-size polynomial of the subsets of `allowed` with no two elements a gap apart, up to `wanted` elements.
 
-    Coefficient j (bits [j*width, (j+1)*width)) counts the subtree's
-    sum-free sets with j more elements than the state, for j <= wanted.
-    Elements are chosen in ascending order, so `allowed` lies above every
-    chosen element, and choosing x kills c + x for each chosen c (and 2x by
-    convention).  Each child's polynomial comes from _child.  A subtree
-    covering more than `budget` nodes refuses, with its sets by size (from
-    `size`) as partial.
+    Coefficient j (bits [j*width, (j+1)*width)) counts those subsets of j
+    elements.  `allowed` is upper: 2 min > max, or 2 min >= max without
+    equal summands, so no two of its elements (no two distinct ones) sum to
+    a third, and the count's only kills are c + x = z for chosen c, the
+    gaps; those inside allowed - allowed fit a pair.  wanted is capped at
+    |allowed|.  Below 3 the polynomial is closed: 1, 1 + k y, and C(k, 2)
+    pairs less those a gap apart (_pairs).  With no gap that fits it is
+    the binomial row of its size k, stored once per wanted under the
+    interval {k, ..., 2k - 1}; a single gap is tested with one AND.  With
+    exactly one gap that fits it is closed by _one_gap.  Any other state is
+    keyed on its canonical translate, the one starting at span + 1, and on
+    its gaps reduced to that translate's differences, and solved on its
+    minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)), which is
+    (1 + y) P(A - a) when a + gaps misses A.  The exclude chain A, A - a, ...
+    runs in a loop down to a solved or closed state and its states are
+    stored on the way back, so only the include branch recurses, and the
+    depth stays within `wanted`.  The memo has one entry per allowed set
+    with a stored state: its difference set, computed once, and a table
+    from gaps * width + wanted (wanted alone for a binomial row) to the
+    polynomial.  Every coefficient counts subsets of `allowed`, at most
+    2^(width - 2), so no field carries into the next.
     """
-    acc = 0
-    bits = allowed
-    while bits:
-        xbit = bits & -bits
-        bits ^= xbit
-        x = xbit.bit_length() - 1
-        kept = chosen | xbit
-        # bits is allowed above x: drop c + x for each chosen c, and 2x by convention
-        child = bits & ~(kept << x if allow_equal else chosen << x)
-        acc += _child(child, kept, wanted - 1, memo, width, allow_equal, budget, size + 1)
-    value = 1 + ((acc << width) & ((1 << width * (wanted + 1)) - 1))
-    if value % ((1 << width) - 1) > budget:  # the sum of the coefficients
-        _refuse(value, width, budget, size)
-    return value
-
-
-def _child(
-    allowed: int, chosen: int, wanted: int, memo: dict, width: int, allow_equal: bool, budget: int, size: int
-) -> int:
-    """By-size polynomial of the state (allowed, chosen), up to `wanted` more elements: the memo's one dispatch.
-
-    Only chosen elements inside allowed - allowed matter below, so a state
-    is (allowed, chosen reduced to that difference set, wanted).  wanted is
-    capped at |allowed|, which no subtree exceeds, so it stays below width.
-    Below 2 the polynomial is closed, and so is an upper state's at 2 (see
-    _pairs); any other upper state goes to _upper, which closes it with
-    one gap or keys it on its canonical translate; any other state is read
-    from, or solved into, the memo.  That has one entry per allowed set:
-    its difference set, computed once, and a table from the reduced chosen
-    and wanted, packed as chosen * width + wanted, to the subtree's
-    polynomial.  A full profile keys on the first two alone, and a fixed m
-    reaches only states within m levels of the root.  A closed form is not
-    checked against the budget; its parent is, or, at the root, _solve.
-    """
-    k = allowed.bit_count()
-    if k < wanted:
-        wanted = k
-    if wanted < 2:
-        return 1 if wanted < 1 else 1 + (k << width)
-    # upper: 2 min(allowed) > max(allowed), or >= without equal summands
-    if 2 * (allowed & -allowed).bit_length() > allowed.bit_length() + allow_equal:
+    chain = []
+    while True:
+        k = allowed.bit_count()
+        if k < wanted:
+            wanted = k
         if wanted < 3:
-            return 1 + (k << width) + (_pairs(allowed, chosen, k) << 2 * width)
-        return _upper(allowed, chosen, wanted, memo, width, budget, size)
-    entry = memo.get(allowed)
-    if entry is None:
-        entry = memo[allowed] = (_differences(allowed), {})
-    diffs, table = entry
-    chosen &= diffs
-    key = chosen * width + wanted
-    value = table.get(key)
-    if value is None:
-        value = table[key] = _subtree(allowed, chosen, wanted, memo, width, allow_equal, budget, size)
+            value = 1 if wanted < 1 else 1 + (k << width)
+            if wanted == 2:
+                value += _pairs(allowed, gaps, k) << 2 * width
+            break
+        if gaps & gaps - 1:  # two gaps or more: the canonical translate, shifted 2 min - max - 1 (up one at 2 min = max)
+            allowed = allowed << 1 >> 2 * (allowed & -allowed).bit_length() - 1 - allowed.bit_length()
+            entry = memo.get(allowed)
+            diffs = _differences(allowed) if entry is None else entry[0]
+            gaps &= diffs
+        if not gaps & gaps - 1:  # at most one gap left
+            if gaps and allowed & allowed >> gaps.bit_length() - 1:  # it fits: closed, not stored
+                value = _one_gap(allowed, gaps.bit_length() - 1, wanted, width)
+                break
+            allowed = ((1 << k) - 1) << k
+            entry = memo.get(allowed)
+            if entry is None:
+                entry = memo[allowed] = ((1 << k) - 2, {})  # differences 1, ..., k - 1
+            value = entry[1].get(wanted)
+            if value is None:  # (1 + y)^k: its fields are C(k, j) < 2^width, so none carries
+                value = entry[1][wanted] = ((1 << width) + 1) ** k & (1 << width * (wanted + 1)) - 1
+            break
+        if entry is None:
+            entry = memo[allowed] = (diffs, {})
+        table = entry[1]
+        key = gaps * width + wanted
+        value = table.get(key)
+        if value is not None:
+            break
+        abit = allowed & -allowed
+        rest = allowed ^ abit
+        hit = rest & (gaps << (abit.bit_length() - 1))
+        include = hit and _upper(rest ^ hit, gaps, wanted - 1, memo, width)  # 0: no hit
+        chain.append((table, key, wanted, include))
+        allowed = rest
+    for table, key, wanted, include in reversed(chain):
+        value += (include or value) << width
+        value = table[key] = value & (1 << width * (wanted + 1)) - 1
     return value
 
 
@@ -302,83 +297,6 @@ def _pairs(allowed: int, gaps: int, k: int) -> int:
         gaps ^= gbit
         excluded += (allowed & allowed >> gbit.bit_length() - 1).bit_count()
     return k * (k - 1) // 2 - excluded
-
-
-def _refuse(value: int, width: int, budget: int, size: int) -> NoReturn:
-    """Refuse a subtree that covers more than `budget` nodes, with its sets by size as partial."""
-    by_size = {size + j: c for j, c in enumerate(_coefficients(value, width)) if c}
-    nodes = sum(by_size.values())
-    raise BudgetError(f"search node budget exceeded ({budget})", estimate=budget, partial=(by_size, None, nodes))
-
-
-def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, budget: int, size: int) -> int:
-    """By-size polynomial of an upper state: 2 min > max, or 2 min >= max without equal summands.
-
-    No sum of two allowed elements is allowed (without equal summands, no
-    sum of two distinct ones), and every element chosen below exceeds the
-    span, so the subtree counts the subsets of `allowed` with no two
-    elements a gap apart, the gaps being the chosen elements inside
-    allowed - allowed; neither convention matters further.  A set no gap
-    fits in counts as freely as any other of its size, so its polynomial
-    is the binomial row, stored on its first miss.  A set exactly one gap
-    fits in is closed by _one_gap and not stored.  Any other state is
-    solved on the minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)),
-    which is (1 + y) P(A - a) when a + gaps misses A.  The exclude chain
-    A, A - a, ... runs in a loop down to a solved state, a closed form
-    (wanted below 3, or one gap) or a binomial row, and its states are
-    stored on the way back, so only the include branch recurses, through
-    _child, and the depth stays within `wanted`, as in _subtree.  wanted is
-    capped at |allowed| and is at least 3.
-    """
-    chain = []
-    while True:
-        # the key: the canonical translate, starting at span + 1, and the gaps inside its differences;
-        # a gapless set is keyed on {k, ..., 2k - 1}; the shift, 2 min - max - 1, is -1 where 2 min = max: up one first
-        if gaps:
-            allowed = allowed << 1 >> 2 * (allowed & -allowed).bit_length() - 1 - allowed.bit_length()
-            entry = memo.get(allowed)
-            if entry is None:
-                entry = memo[allowed] = (_differences(allowed), {})
-            gaps &= entry[0]
-        if not gaps:
-            k = allowed.bit_count()
-            allowed = ((1 << k) - 1) << k
-            entry = memo.get(allowed)
-            if entry is None:
-                entry = memo[allowed] = ((1 << k) - 2, {})  # differences 1, ..., k - 1
-            value = entry[1].get(wanted)
-            if value is None:  # (1 + y)^k: its fields are C(k, j) < 2^width, so none carries
-                value = entry[1][wanted] = ((1 << width) + 1) ** k & (1 << width * (wanted + 1)) - 1
-            break
-        if not gaps & gaps - 1:  # one gap fits: closed, not stored
-            value = _one_gap(allowed, gaps.bit_length() - 1, wanted, width)
-            break
-        table = entry[1]
-        key = gaps * width + wanted
-        value = table.get(key)
-        if value is not None:
-            break
-        abit = allowed & -allowed
-        rest = allowed ^ abit
-        hit = rest & (gaps << (abit.bit_length() - 1))
-        include = hit and _child(rest ^ hit, gaps, wanted - 1, memo, width, True, budget, size + 1)  # 0: no hit
-        chain.append((table, key, wanted, include))
-        k = rest.bit_count()
-        if k < wanted:
-            wanted = k
-        if wanted < 3:
-            value = 1 + (k << width)
-            if wanted == 2:
-                value += _pairs(rest, gaps, k) << 2 * width
-            break
-        allowed = rest
-    field = (1 << width) - 1
-    for table, key, wanted, include in reversed(chain):
-        value += (include or value) << width
-        value = table[key] = value & (1 << width * (wanted + 1)) - 1
-        if value % field > budget:  # the sum of the coefficients
-            _refuse(value, width, budget, size)
-    return value
 
 
 def _one_gap(allowed: int, g: int, wanted: int, width: int) -> int:
@@ -413,19 +331,18 @@ def _one_gap(allowed: int, g: int, wanted: int, width: int) -> int:
     return value
 
 
-def _refuse_unreachable(ubits: int, wanted: int, budget: int, joint: Optional[dict] = None) -> None:
+def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
     """Refuse, before searching, a count the budget or the interpreter cannot reach.
 
     Every subset of the universe's odd elements is sum-free under both
     conventions, and so is every subset of its elements above half its
     largest.  So the count covers at least sum_{j <= wanted} C(u, j) nodes,
-    u the larger of those two element counts, and it refuses as the memo
-    would, with that sum (its terms added until it passes the budget) in
-    partial.  That sum is at most 2^u <= 2^|universe|, so a budget of at
-    least 2^|universe| passes it without summing.  The memo recurses once
-    per chosen element, so it also refuses when wanted exceeds the
-    recursion limit less STACK_HEADROOM.  `joint` is the partial's middle:
-    None for a count, no strata yet ({}) for strata.
+    u the larger of those two element counts, and it refuses with that sum
+    (its terms added until it passes the budget) in partial.  That sum is
+    at most 2^u <= 2^|universe|, so a budget of at least 2^|universe|
+    passes it without summing.  The upper solver recurses once per chosen
+    element, so it also refuses when wanted exceeds the recursion limit
+    less STACK_HEADROOM.
     """
     limit = sys.getrecursionlimit()
     if budget >> ubits.bit_count() > 0 and wanted <= limit - STACK_HEADROOM:
@@ -444,12 +361,44 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int, joint: Optional[di
         message = f"search depth {wanted} exceeds the interpreter's recursion limit ({limit})"
     else:
         return
-    raise BudgetError(message, estimate=budget, partial=({}, joint, bound))
+    raise BudgetError(message, estimate=budget, partial=({}, None, bound))
 
 
-def _coefficients(value: int, width: int) -> list[int]:
+def _prefixes(
+    ubits: int, wanted: int, allow_equal: bool, budget: int, memo: dict, width: int, cut: Optional[int] = None
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (upper, chosen, size, value) for each sum-free low prefix of ubits with at most `wanted` elements.
+
+    The high elements are those from `cut` up, by default those x with
+    2x > max(ubits), or 2x >= max without equal summands; they form an
+    upper set, and the low prefixes are the sum-free sets of the others.
+    _walk lists them in ascending set order, each before its extensions,
+    keeping the high elements they leave alive: a prefix's `upper` set.
+    Its completions are the subsets of that set with no two elements a
+    chosen element apart, and `value` is their by-size polynomial up to
+    wanted - size elements, from _upper on `memo`.  A prefix one element
+    short is not extended: any allowed element, low or high, completes it,
+    so its upper set is all it allows.  A universe with no low part is one
+    prefix and is not walked.  Every sum-free set is one prefix plus one
+    completion, so the coefficient sums add up to the count's nodes.  A
+    count past `budget` refuses here: before the walk when
+    _refuse_unreachable does, and otherwise after the prefix that passes
+    it, with the nodes so far in partial.
+    """
+    _refuse_unreachable(ubits, wanted, budget)
+    if cut is None:  # 2x > max(ubits), or 2x >= max without equal summands
+        cut = (ubits.bit_length() + allow_equal) // 2
+    high = ubits >> cut << cut
     field = (1 << width) - 1
-    return [(value >> width * j) & field for j in range((value.bit_length() + width - 1) // width)]
+    nodes = 0
+    walk = _walk(ubits, high, allow_equal, max(wanted - 1, 0), False) if ubits & ~high else ((ubits, 0, 0),)
+    for allowed, chosen, size in walk:
+        upper = allowed if size == wanted - 1 else allowed & high
+        value = _upper(upper, chosen, wanted - size, memo, width)
+        nodes += value % field  # the sum of the coefficients
+        if nodes > budget:
+            raise BudgetError(f"search node budget exceeded ({budget})", estimate=budget, partial=({}, None, nodes))
+        yield upper, chosen, size, value
 
 
 def count_sum_free(
@@ -460,7 +409,12 @@ def count_sum_free(
     threads: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CountResult:
-    """Exact sum-free counts on the memoized search.
+    """Exact sum-free counts: the low prefixes of the universe times their upper completions.
+
+    The upper part is cut at 2x > max(universe), or 2x >= max without
+    equal summands, so a universe with no low part is one prefix.  Each
+    prefix's polynomial is shifted by its size and summed; width = n + 2,
+    so a field holds any count <= 2^n, and so does the sum of all fields.
 
     Parameters
     ----------
@@ -478,33 +432,19 @@ def count_sum_free(
     if m is not None and m > ubits.bit_count():
         return CountResult(0, {}, "memo", 0.0, 0)
     width = n + 2
-    value, memo = _solve(ubits, ubits.bit_count() if m is None else m, width, allow_equal, node_budget)
-    if m is None:
-        by_size = {j: c for j, c in enumerate(_coefficients(value, width)) if c}
-    else:
-        count = value >> width * m & (1 << width) - 1
-        by_size = {m: count} if count else {}
-    return CountResult(
-        total=sum(by_size.values()),
-        by_size=by_size,
-        method="memo",
-        elapsed=time.perf_counter() - t0,
-        nodes=value % ((1 << width) - 1),
-        states=sum(len(table) for _diffs, table in memo.values()),
-    )
-
-
-def _solve(ubits: int, wanted: int, width: int, allow_equal: bool, budget: int) -> tuple[int, dict]:
-    """The root's polynomial up to `wanted` elements, and the memo that solved it; refuses as a count does.
-
-    width = n + 2: a field holds any count <= 2^n, and so does the sum of all fields.
-    """
-    _refuse_unreachable(ubits, wanted, budget)
+    field = (1 << width) - 1
+    wanted = ubits.bit_count() if m is None else m
     memo: dict = {}
-    value = _child(ubits, 0, wanted, memo, width, allow_equal, budget, 0)
-    if value % ((1 << width) - 1) > budget:  # a closed-form root checks nothing itself
-        _refuse(value, width, budget, 0)
-    return value, memo
+    value = 0
+    for _upper_bits, _chosen, size, completions in _prefixes(ubits, wanted, allow_equal, node_budget, memo, width):
+        value += completions << width * size
+    if m is None:
+        by_size = {j: c for j, c in enumerate(value >> width * j & field for j in range(wanted + 1)) if c}
+    else:
+        count = value >> width * m & field
+        by_size = {m: count} if count else {}
+    states = sum(len(table) for _diffs, table in memo.values())
+    return CountResult(sum(by_size.values()), by_size, "memo", time.perf_counter() - t0, value % field, states)
 
 
 def sum_free_ranking(
@@ -513,27 +453,51 @@ def sum_free_ranking(
     """The number of sum-free m-subsets of {1, ..., n}, and the map from a rank in [0, total) to the bitmap of
     the set of that rank in the order enumerate_sum_free lists them.
 
-    The count is count_sum_free(n, m)'s, with its budget and refusals, and
-    the map unranks on the memo that count leaves, so a uniform rank gives
-    an exactly uniform set.
+    The count is count_sum_free(n, m)'s, on the same prefixes, with its
+    budget and refusals.  In listing order a prefix's completions follow
+    the sets of all its low extensions, low elements being smaller, so the
+    prefixes are ranked in post-order, each over its completions of size
+    m; a rank picks its prefix by bisection and is unranked inside that
+    prefix's upper set (_unrank), on the memo the count left.  A uniform
+    rank gives an exactly uniform set.
     """
     ubits = _universe_bits(n, None, m)
     width = n + 2
-    value, memo = _solve(ubits, min(m, n), width, allow_equal, node_budget)  # coefficient m > n is 0
-    total = value >> width * m & (1 << width) - 1
-    return total, lambda rank: _unrank(rank, ubits, m, memo, width, allow_equal, node_budget)
+    field = (1 << width) - 1
+    memo: dict = {}
+    listed, pending = [], []  # prefixes with completions, in listing order, and those whose extensions may follow
+    if m <= n:  # as count_sum_free, which returns 0 above the universe without searching
+        for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, memo, width):
+            while pending and pending[-1][2] >= size:  # no extension of it follows
+                listed.append(pending.pop())
+            count = value >> width * (m - size) & field
+            if count:
+                pending.append((upper, chosen, size, count))
+        listed += reversed(pending)
+    starts = list(accumulate((count for *_prefix, count in listed), initial=0))
+    total = starts.pop()
+
+    def unrank(rank: int) -> int:
+        i = bisect_right(starts, rank) - 1
+        upper, chosen, size, _count = listed[i]
+        return chosen | _unrank(rank - starts[i], upper, chosen, m - size, memo, width)
+
+    return total, unrank
 
 
-def _unrank(rank: int, allowed: int, wanted: int, memo: dict, width: int, allow_equal: bool, budget: int) -> int:
-    """The chosen bitmap of the set at `rank` among those with `wanted` elements below the root (allowed, none chosen).
+def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: dict, width: int) -> int:
+    """The bitmap of the subset at `rank`, in ascending set order, among the `wanted`-subsets of `allowed` with no
+    two elements a gap apart.
 
-    The ascending search lists a state's sets before its children's, and
-    its children's subtrees by ascending x, each in the same order.  So the
-    walk takes, at each state, the first x whose child's coefficient for the
-    elements still wanted exceeds the rank, having subtracted those of the
-    children before it.  Every child's polynomial comes from _child, as in
-    the count, so it is read from the memo the count left (a gapless upper
-    child the count never asked for at this wanted is solved into it once).
+    Its sets with minimum x are x plus the (wanted - 1)-subsets of the
+    elements above x less x + gaps, counted by _upper.  So the walk takes,
+    at each step, the first x whose count exceeds the rank, having
+    subtracted those of the x before it.  The kill rule is c + x for a gap
+    c only, never 2x: `allowed` is upper, so a chosen x exceeds the span of
+    what is left above it and 2x exceeds its maximum (or equals it, without
+    equal summands).  A prefix one element short passes all it allows,
+    upper or not; with one element wanted the rank just picks it.  Nearly
+    every count is read from the memo the count left.
     """
     field = (1 << width) - 1
     chosen = 0
@@ -543,14 +507,13 @@ def _unrank(rank: int, allowed: int, wanted: int, memo: dict, width: int, allow_
         while True:
             xbit = bits & -bits
             bits ^= xbit
-            x = xbit.bit_length() - 1
-            kept = chosen | xbit
-            child = bits & ~(kept << x if allow_equal else chosen << x)
-            below = _child(child, kept, wanted, memo, width, allow_equal, budget, 0) >> width * wanted & field
+            child = bits & ~(gaps << xbit.bit_length() - 1)
+            below = _upper(child, gaps, wanted, memo, width) >> width * wanted & field
             if rank < below:
                 break
             rank -= below
-        allowed, chosen = child, kept
+        allowed = child
+        chosen |= xbit
     return chosen
 
 
@@ -558,16 +521,16 @@ def _unrank(rank: int, allowed: int, wanted: int, memo: dict, width: int, allow_
 # Listings and low prefixes: one walk over the ascending search
 
 
-def _walk(ubits: int, fixed: int, allow_equal: bool, m: Optional[int]) -> Iterator[tuple[int, int, int]]:
+def _walk(ubits: int, fixed: int, allow_equal: bool, m: Optional[int], reach: bool) -> Iterator[tuple[int, int, int]]:
     """Yield the nodes (allowed, chosen, size) of the ascending search in set order, choosing nothing in `fixed`.
 
     Elements are added in ascending order: choosing x kills c + x for each
     chosen c, and 2x by convention, so `allowed` holds the elements above
     max(chosen) that keep the set sum-free.  `fixed` lies above every other
     element of ubits; its elements stay in `allowed` while alive but are
-    never chosen.  With m given, branches that cannot reach size m are
-    skipped, and a node of size m - 1 yields its size-m children directly
-    (allowed 0) instead of stacking them.
+    never chosen.  No node is deeper than m.  With `reach`, branches that
+    cannot reach size m are skipped, and a node of size m - 1 yields its
+    size-m children directly (allowed 0) instead of stacking them.
     """
     stack = [(ubits, 0, 0)]
     while stack:
@@ -576,11 +539,11 @@ def _walk(ubits: int, fixed: int, allow_equal: bool, m: Optional[int]) -> Iterat
         if size == m:
             continue
         free = allowed & ~fixed
-        if m is not None and size == m - 1:
+        if reach and size == m - 1:
             for x in iter_bits(free):
                 yield 0, chosen | 1 << x, m
             continue
-        need = -1 if m is None else m - size - 1
+        need = m - size - 1 if reach else -1
         higher = allowed & fixed  # allowed elements above x
         while free:  # descending, so the smallest x is stacked last and walked first
             x = free.bit_length() - 1
@@ -610,7 +573,7 @@ def enumerate_sum_free(
             f"enumeration would stream {expected} sets (> budget {stream_budget})",
             estimate=expected,
         )
-    nodes = _walk(_universe_bits(n, universe), 0, allow_equal, m)
+    nodes = _walk(_universe_bits(n, universe), 0, allow_equal, m, m is not None)
     return (IntSet.from_bits(n, chosen) for _allowed, chosen, size in nodes if m is None or size == m)
 
 
@@ -639,20 +602,24 @@ def count_in_window(
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WindowCount:
-    """Exact sum-free m-set count in {ceil(n/2) - a, ..., n}."""
+    """Exact sum-free m-set count in {ceil(n/2) - a, ..., n}.
+
+    The count is count_sum_free's on that universe, summed over the same
+    prefixes with the same budget; without equal summands the upper part
+    starts at ceil(n/2), so a window with a = 0 is one prefix.
+    """
     lo = (n + 1) // 2 - a
     if lo < 1:
         raise ValueError(f"window start {lo} below 1 (a too large)")
     usize = n - lo + 1
     if m > usize:
         raise ValueError(f"m = {m} exceeds the window size {usize}")
-    res = count_sum_free(n, m, IntSet.interval(n, lo, n), allow_equal, node_budget=node_budget)
-    return WindowCount(
-        count=res.total,
-        window_lo=lo,
-        window_size=usize,
-        probability=Fraction(res.total, comb(usize, m)),
-    )
+    width = n + 2
+    ubits = _universe_bits(n, None, m) >> lo << lo  # {lo, ..., n}, once n and m are checked
+    count = 0
+    for _upper_bits, _chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, {}, width):
+        count += value >> width * (m - size) & (1 << width) - 1
+    return WindowCount(count, lo, usize, Fraction(count, comb(usize, m)))
 
 
 @dataclass
@@ -683,50 +650,44 @@ def stratified_counts(
 ) -> StratifiedCounts:
     """Exact joint (ell, k) distribution of sum-free m-subsets of {1, ..., n}.
 
-    ell, k and the all-odd flag of the low part depend only on the elements
-    x with 2x <= n, which the ascending search chooses before any high one.
-    So the walk chooses low elements only, and the high completions of each
-    low prefix are coefficient m - |prefix| of its high state's polynomial,
-    read through _child, the memo's one dispatch: the high part is always
-    an upper state, so prefixes that leave the same canonical translate and
-    gaps share one entry.  An all-odd prefix kills only even numbers, so
-    C(odd high allowed, m - |prefix|) of its completions are all odd.  The
-    tallies are keyed on (ell, 2k) and k becomes a Fraction at the end.
-    The budget is in the units of count_sum_free(n, m), the nodes covered,
-    summed over the prefixes.  A state solved here refuses past the budget
-    left, and a memo hit checks nothing, so the sum is also checked after
-    each prefix; the same queries refuse as if every prefix were solved
-    afresh, and it refuses before searching exactly when the count does.
-    A refusal's partial is (by_size, (ell, k) -> count so far, nodes).
+    ell, k and the all-odd flag of a set depend only on its low part, the
+    elements x with 2x <= n, where they are defined; so the prefixes are
+    those of count_sum_free with the upper part cut at 2x > n under both
+    conventions.  A prefix's completions of size m - |prefix| all share its
+    stratum, except those of a prefix one element short, whose low
+    completions are prefixes of size m, each in its own stratum.  An
+    all-odd prefix kills only even numbers, so C(odd high allowed,
+    m - |prefix|) of its completions are all odd.  The tallies are keyed on
+    (ell, 2k) and k becomes a Fraction at the end.  The budget and the
+    refusals are count_sum_free(n, m)'s, on the same nodes, so strata
+    succeed and refuse at the same budgets as the count.  A refusal's
+    partial is (by_size, (ell, k) -> count so far, nodes).
     """
     ubits = _universe_bits(n, None, m)
     if m > n:
         return StratifiedCounts(n=n, m=m, total=0)
-    _refuse_unreachable(ubits, m, node_budget, joint={})
-    high = ubits >> n // 2 + 1 << n // 2 + 1  # the elements x with 2x > n
+    cut = n // 2 + 1  # the elements x with 2x > n
+    high = ubits >> cut << cut
     odd = sum(1 << x for x in range(1, n + 1, 2))
     width = n + 2
     field = (1 << width) - 1
-    memo: dict = {}
     joint, odd_joint = Counter(), Counter()  # keyed on (ell, 2k)
-    nodes = 0
     try:
-        for allowed, chosen, size in _walk(ubits, high, allow_equal, m):
-            value = _child(allowed & high, chosen, m - size, memo, width, allow_equal, node_budget - nodes, size)
-            nodes += value % field  # the sum of the coefficients
-            if nodes > node_budget:
-                break
-            key = (size, size * n - 2 * sum(iter_bits(chosen)))  # ell, and 2k = sum (n - 2x)
-            joint[key] += value >> width * (m - size) & field
+        for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, {}, width, cut):
+            low = upper & ~high  # only one element short: each x in it completes a prefix of size m
+            k2 = size * n - 2 * sum(iter_bits(chosen))  # 2k = sum (n - 2x)
+            for x in iter_bits(low):
+                joint[m, k2 + n - 2 * x] += 1
+                odd_joint[m, k2 + n - 2 * x] += not (chosen | 1 << x) & ~odd
+            joint[size, k2] += (value >> width * (m - size) & field) - low.bit_count()
             if not chosen & ~odd:
-                odd_joint[key] += comb((allowed & high & odd).bit_count(), m - size)
+                odd_joint[size, k2] += comb((upper & high & odd).bit_count(), m - size)
     except BudgetError as err:
-        nodes += err.partial[2]  # the refusing subtree's nodes: past the budget left
+        joint = _halves(joint)
+        partial = ({m: sum(joint.values())} if joint else {}, joint, err.partial[2])
+        raise BudgetError(str(err), node_budget, partial) from None
     joint, odd_joint = _halves(joint), _halves(odd_joint)
-    if nodes <= node_budget:
-        return StratifiedCounts(n, m, sum(joint.values()), joint, odd_joint)
-    partial = ({m: sum(joint.values())} if joint else {}, joint, nodes)
-    raise BudgetError(f"search node budget exceeded ({node_budget})", node_budget, partial)
+    return StratifiedCounts(n, m, sum(joint.values()), joint, odd_joint)
 
 
 def _halves(tally: Counter) -> dict[tuple[int, Fraction], int]:

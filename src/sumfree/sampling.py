@@ -1,10 +1,11 @@
 """Uniform random sum-free m-sets, exact by unranking on the count memo, and structure trend tables.
 
-count_sum_free(n, m) solves the by-size polynomial of every state of the
-ascending search, so its memo knows how many sum-free m-sets lie below
-each state.  A draw takes a uniform rank below the total and unranks it on
-that memo, so every draw is exactly uniform over the sum-free m-sets, and
-the sampler refuses only as that count does, through its node budget.
+sum_free_ranking counts the sum-free m-sets as count_sum_free(n, m) does,
+over the low prefixes and their upper completions, so it knows how many
+m-sets each prefix completes to.  A draw takes a uniform rank below the
+total and unranks it on those counts and on the count's memo, so every
+draw is exactly uniform over the sum-free m-sets, and the sampler refuses
+only as that count does, through its node budget.
 
 Reports histogram the low-part statistics (ell, k, all-odd flag) of the
 samples.  Reproducibility: every rank is drawn from one

@@ -194,14 +194,35 @@ def test_counts_leave_no_garbage_cycles():
 
 
 def test_memo_states_are_reported():
-    # distinct states solved, the root among them; the oracle solves none
-    assert count_sum_free(32).states == 10_729
+    # distinct upper states solved and stored; the oracle solves none
+    assert count_sum_free(32).states == 12_877
     assert count_oracle(12).states == 0
     for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
         first, again = count_sum_free(n, m), count_sum_free(n, m)
         assert first.states == again.states > 0, (n, m)
         assert first.states <= first.nodes, (n, m)
     assert count_sum_free(10, universe=[]).states == 0
+    # without equal summands 2x = max is upper, so a window from n/2 is one prefix and one binomial row
+    assert count_sum_free(20, 6, range(10, 21), allow_equal=False).states == 1
+    assert count_sum_free(20, 6, range(10, 21)).states == 2
+
+
+def test_memo_holds_no_entry_without_a_state(monkeypatch):
+    # an allowed set enters the memo only with a stored state, not when its states are closed forms
+    memos = []
+    prefixes = enumeration._prefixes
+
+    def spy(ubits, wanted, allow_equal, budget, memo, width):
+        memos.append(memo)
+        return prefixes(ubits, wanted, allow_equal, budget, memo, width)
+
+    monkeypatch.setattr(enumeration, "_prefixes", spy)
+    for allow_equal in (True, False):
+        for n in range(0, 33):
+            for m in (None, n // 3, n // 2):
+                res = count_sum_free(n, m, allow_equal=allow_equal)
+                tables = [table for _diffs, table in memos.pop().values()]
+                assert all(tables) and sum(map(len, tables)) == res.states, (allow_equal, n, m)
 
 
 def gap_avoiding_sizes(elements, gaps):
@@ -230,31 +251,29 @@ def test_upper_solver_counts_gap_avoiding_subsets():
         want = [sizes[j] for j in range(wanted + 1)]
         allowed = sum(1 << v for v in elements)
         for memo in (shared, {}):
-            value = _upper(allowed, sum(1 << g for g in gaps), wanted, memo, width, 2**40, 0)
+            value = _upper(allowed, sum(1 << g for g in gaps), wanted, memo, width)
             got = [value >> width * j & (1 << width) - 1 for j in range(wanted + 1)]
             assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, gaps, wanted)
 
 
-def test_child_closes_upper_states_wanting_two():
+def test_upper_closes_states_wanting_two():
     # an upper set (2 min > max, or 2 min = max without equal summands) wanting 2 more is closed: nothing is stored
     rng = random.Random(17)
     width = 42
-    for allow_equal in (True, False):
+    for strict in (True, False):  # 2 min > max, or 2 min = max (upper without equal summands)
         for _ in range(300):
             lo = rng.randint(2, 39)
-            hi = min(40, 2 * lo - allow_equal)
+            hi = min(40, 2 * lo - strict)
             elements = sorted(rng.sample(range(lo, hi + 1), min(hi - lo + 1, rng.randint(2, 11))))
             gaps = [g for g in range(1, lo) if rng.random() < 0.3]  # chosen below the set, some above its span
             sizes = gap_avoiding_sizes(elements, gaps)
             memo = {}
-            value = enumeration._child(
-                sum(1 << v for v in elements), sum(1 << g for g in gaps), 2, memo, width, allow_equal, 0, 0
-            )
-            assert value == sizes[0] + (sizes[1] << width) + (sizes[2] << 2 * width), (elements, gaps, allow_equal)
+            value = _upper(sum(1 << v for v in elements), sum(1 << g for g in gaps), 2, memo, width)
+            assert value == sizes[0] + (sizes[1] << width) + (sizes[2] << 2 * width), (elements, gaps, strict)
             assert memo == {}
 
 
-def test_child_closes_upper_states_with_one_gap():
+def test_upper_closes_states_with_one_gap():
     # every upper set of span <= 10 under each convention's rule (2 min > max, or 2 min = max without equal
     # summands), each single gap g <= span and every wanted from 3 up: a gap that is a difference is closed as a
     # product of paths and stores nothing; one that is not leaves the stored binomial row
@@ -269,11 +288,11 @@ def test_child_closes_upper_states_with_one_gap():
             for g in range(1, span + 1):
                 sizes = gap_avoiding_sizes(elements, [g])
                 closed = bool(shape & shape >> g)
-                for allow_equal, lo in ((True, span + 1), (True, span + 3), (False, span)):
+                for lo in (span + 1, span + 3, span):  # 2 min > max at two translates, and 2 min = max
                     allowed = shape << lo
                     for wanted in range(3, k + 1):
                         memo = {}
-                        value = enumeration._child(allowed, 1 << g, wanted, memo, width, allow_equal, 2**40, 0)
+                        value = _upper(allowed, 1 << g, wanted, memo, width)
                         want = [sizes[j] for j in range(wanted + 1)]
                         got = [value >> width * j & (1 << width) - 1 for j in range(wanted + 1)]
                         assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, g, lo, wanted)
@@ -502,18 +521,20 @@ def test_stratified_counts_against_subset_oracle():
 
 
 def test_strata_fit_in_the_budget_of_the_count():
-    # strata cover at most the nodes of the count of the same size, and at least its sets of size m
+    # strata cover exactly the nodes of the count of the same size: they succeed at its node figure and refuse
+    # one below it, or below its sets of size m, with a node figure past the budget
     for allow_equal in (True, False):
-        for n in range(0, 13):
+        for n in range(0, 15):
             for m in range(0, n + 1):
                 count = count_sum_free(n, m, allow_equal=allow_equal)
                 table = stratified_counts(n, m, allow_equal=allow_equal, node_budget=count.nodes)
                 assert table.total == count.total, (allow_equal, n, m)
-                if count.total:
+                for budget in {count.nodes - 1, count.total - 1}:
                     with pytest.raises(BudgetError) as err:
-                        stratified_counts(n, m, allow_equal=allow_equal, node_budget=count.total - 1)
+                        stratified_counts(n, m, allow_equal=allow_equal, node_budget=budget)
                     by_size, joint, nodes = err.value.partial
-                    assert nodes >= count.total and by_size.get(m, 0) == sum(joint.values()) <= count.total
+                    assert err.value.estimate == budget and nodes > budget, (allow_equal, n, m, budget)
+                    assert by_size.get(m, 0) == sum(joint.values()) <= count.total, (allow_equal, n, m, budget)
     # an m above n covers nothing and refuses nothing, as for counts
     assert stratified_counts(60, 61).total == count_sum_free(60, 61).total == 0
 
