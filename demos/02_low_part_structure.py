@@ -45,11 +45,11 @@ for ell in sorted(ell_marginal):
     print(f"  ell={ell}: exact {exact_frac:.4f} vs sampled {samp_frac:.4f}")
 
 print()
-print("Scaled medians across n (ell * m/n and k * m^3/n^3 should stay O(1)):")
-rows = structure_trend([12, 16, 20, 24, 28, 32], "div:4", count=4000, seed=7)
-print(f"  {'n':>3} {'m':>3} {'method':>8} {'ell_med':>8} {'k_med':>7} {'ell*m/n':>8} {'k*m^3/n^3':>10}")
+print("Exact scaled medians across n (ell * m/n and k * m^3/n^3 should stay O(1)):")
+rows = structure_trend([12, 16, 20, 24, 28, 32], "div:4")
+print(f"  {'n':>3} {'m':>3} {'ell_med':>8} {'k_med':>7} {'ell*m/n':>8} {'k*m^3/n^3':>10}")
 for r in rows:
     print(
-        f"  {r.n:>3} {r.m:>3} {r.method:>8} {str(r.ell_median):>8} "
+        f"  {r.n:>3} {r.m:>3} {str(r.ell_median):>8} "
         f"{str(r.k_median):>7} {r.ell_scaled:>8.3f} {r.k_scaled:>10.4f}"
     )

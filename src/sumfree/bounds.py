@@ -46,8 +46,6 @@ class LogValue:
             raise ValueError("LogValue holds nonnegative reals")
         if value == 0:
             return cls(-inf)
-        if isinstance(value, int):
-            return cls(_log_of_int(value))
         return cls(log(value))
 
     @property
@@ -91,14 +89,6 @@ class LogValue:
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
         return abs(self.log - other.log) <= rtol * max(1.0, abs(self.log), abs(other.log))
-
-
-def _log_of_int(v: int) -> float:
-    if v.bit_length() <= 900:
-        return log(v)
-    # exact shift keeps the mantissa in float range for huge integers
-    shift = v.bit_length() - 64
-    return log(v >> shift) + shift * log(2.0)
 
 
 def log_binom(a: int, b: int) -> LogValue:
@@ -376,6 +366,6 @@ def empirical_constant(n: int, m: int, exact_count: int) -> Optional[float]:
         raise ValueError("need n >= 1, 0 <= m <= ceil(n/2) and count >= 0")
     if exact_count == 0:
         return None
-    log2_count = _log_of_int(exact_count) / LN2
+    log2_count = log(exact_count) / LN2
     log2_binom = log_binom((n + 1) // 2, m).log / LN2
     return m / n * (log2_count - log2_binom)

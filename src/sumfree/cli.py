@@ -164,7 +164,7 @@ def _restricted(ratio_table=False, **q):
         return {"count": partitions.count_restricted(**q)}
     fields = ("k", "ell", "family", "parameter", "cap", "count")
     return [{**dict(zip(fields, row)), "rhs_log": round(rhs, 6), "log_ratio": None if r is None else round(r, 6)}
-            for *row, rhs, r in verify.restricted_ratio_table(q["kmax"], q["ellmax"])]
+            for *row, rhs, r in verify.restricted_ratio_table(**q)]
 
 
 def _smallsumset(n, m, cap, delta, **budget):
@@ -294,8 +294,7 @@ COMMANDS = {
     "trend": Command(
         "scaled low-part statistics across n",
         (("--n-list", _parse_values, None, True, "e.g. 12,16,20"),
-         ("--m-rule", str, "sqrt", False, "sqrt | half | div:K | fixed:M"), ("--count", int, 2000)),
-        sampling.structure_trend, common=("seed",), run=SEARCH,
+         ("--m-rule", str, "sqrt", False, "sqrt | half | div:K | fixed:M")), sampling.structure_trend, run=SEARCH,
         project=lambda rows: [{**asdict(r), "ell_scaled": round(r.ell_scaled, 6), "k_scaled": round(r.k_scaled, 6)}
                               for r in rows]),
     "verify": Command("run the acceptance checks", (("--suite", ("small", "full"), "full"),)),

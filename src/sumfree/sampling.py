@@ -13,7 +13,7 @@ random.Random(seed), so a report is a pure function of (n, m, count,
 seed, allow_equal).
 
 Trend tables track the scaled statistics ell * m/n and k * m^3/n^3 across
-n, using exact strata up to n = TREND_EXACT_LIMIT and sampling beyond.
+n, reading the medians from the exact strata (stratified_counts) at every n.
 The "stable" flag compares medians against fixed windows; the windows are
 heuristic desk-scale calibrations, nothing more.
 """
@@ -32,8 +32,6 @@ from .core import ALLOW_EQUAL_DEFAULT, statistics_of
 from .enumeration import DEFAULT_NODE_BUDGET, stratified_counts, sum_free_ranking
 from .intset import iter_bits
 
-#: trend tables use exact strata up to this n, samples beyond it
-TREND_EXACT_LIMIT = 26
 #: heuristic windows for the scaled medians in trend tables
 TREND_ELL_WINDOW = (0.0, 6.0)
 TREND_K_WINDOW = (0.0, 8.0)
@@ -120,7 +118,6 @@ def sample_uniform(
 class TrendRow:
     n: int
     m: int
-    method: str  # "exact" or "sampled"
     ell_median: Fraction
     k_median: Fraction
     ell_scaled: float  # median(ell) * m / n
@@ -161,16 +158,14 @@ def parse_m_rule(rule) -> Callable[[int], int]:
 def structure_trend(
     n_list: Sequence[int],
     m_rule,
-    count: int,
-    seed: int,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[TrendRow]:
     """Tabulate scaled low-part statistics across n.
 
-    For n <= TREND_EXACT_LIMIT the distribution is the exact stratified
-    count; beyond that, `count` uniform samples are used.  Both refuse
-    (BudgetError) past node_budget, as count_sum_free does.
+    Each row's medians are exact, read from the stratified count of the
+    sum-free m-sets, which refuses (BudgetError) past node_budget as
+    count_sum_free does.
     """
     if any(n < 1 for n in n_list):
         raise ValueError("every n must be >= 1")
@@ -178,17 +173,12 @@ def structure_trend(
     rows = []
     for n in n_list:
         m = rule(n)
-        if n <= TREND_EXACT_LIMIT:
-            method, weights = "exact", stratified_counts(n, m, allow_equal, node_budget).joint
-        else:
-            method, weights = "sampled", Counter()  # (ell, k) -> samples
-            for (ell, k, _odd), c in sample_uniform(n, m, count, seed, allow_equal, node_budget).histogram.items():
-                weights[ell, k] += c
+        weights = stratified_counts(n, m, allow_equal, node_budget).joint
         ell_med = _weighted_median(weights, 0)
         k_med = _weighted_median(weights, 1)
         ell_scaled = float(ell_med) * m / n
         k_scaled = float(k_med) * m**3 / n**3
         (ell_lo, ell_hi), (k_lo, k_hi) = TREND_ELL_WINDOW, TREND_K_WINDOW
         stable = ell_lo <= ell_scaled <= ell_hi and k_lo <= k_scaled <= k_hi
-        rows.append(TrendRow(n, m, method, ell_med, k_med, ell_scaled, k_scaled, stable))
+        rows.append(TrendRow(n, m, ell_med, k_med, ell_scaled, k_scaled, stable))
     return rows

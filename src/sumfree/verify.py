@@ -38,7 +38,7 @@ from .bounds import (
 )
 from .enumeration import count_in_window, count_oracle, count_sum_free, enumerate_sum_free
 from .intset import bits_of
-from .partitions import count_restricted, p, p_star, sumset_size_profile
+from .partitions import DEFAULT_BUDGET, count_restricted, p, p_star, sumset_size_profile
 from .sampling import draw_sum_free
 from .sumsets import b_set, freiman_cover, span, sumset, sumsetbits
 
@@ -275,35 +275,31 @@ def check_janson_and_pair_graph(scale: str = "full") -> CheckResult:
     )
 
 
-def restricted_ratio_table(kmax: int = 90, ellmax: int = 12):
+def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAULT_BUDGET):
     """Rows (k, ell, family, parameter, cap, count, rhs_log, log-ratio or None).
 
     family "per-sum" caps are floor(c k / ell) with the matching bound
     2^ell (2 c e k / (3 ell^2))^ell; family "per-size" caps are
     floor(lam * ell) with 2^ell ((4 lam - 3) e / 6)^ell, asserted only on
-    its hypothesis range k <= ell^2.
+    its hypothesis range k <= ell^2.  The table enumerates at most `budget`
+    candidates in all: each cell's profile gets what the cells before it
+    left, and refuses (BudgetError) past it.
     """
     rows = []
+    left = budget
     for ell in range(1, ellmax + 1):
-        lo = ell * (ell + 1) // 2
-        for k in range(lo, kmax + 1):
-            profile = sumset_size_profile(k, ell)
-
-            def count_cap(cap):
-                return sum(c for size, c in profile.items() if size <= cap)
-
-            for c in (2, 2.5, 3):
-                cap = int(c * k / ell)
-                count = count_cap(cap)
-                rhs = theorem_rhs("S+S", k=k, ell=ell, c=c, delta=1)
-                ratio = LogValue.of(count).log - rhs.log if count else None
-                rows.append((k, ell, "per-sum", c, cap, count, rhs.log, ratio))
-            for lam in (2, 2.5, 3):
-                cap = int(lam * ell)
-                count = count_cap(cap)
-                rhs = theorem_rhs("S+S2", ell=ell, lam=lam, delta=1)
-                ratio = LogValue.of(count).log - rhs.log if count else None
-                rows.append((k, ell, "per-size", lam, cap, count, rhs.log, ratio))
+        for k in range(ell * (ell + 1) // 2, kmax + 1):
+            profile = sumset_size_profile(k, ell, budget=left)
+            left -= sum(profile.values())
+            families = (("per-sum", "S+S", "c", lambda c: int(c * k / ell)),
+                        ("per-size", "S+S2", "lam", lambda lam: int(lam * ell)))
+            for family, name, key, cap_of in families:
+                for param in (2, 2.5, 3):
+                    cap = cap_of(param)
+                    count = sum(c for size, c in profile.items() if size <= cap)
+                    rhs = theorem_rhs(name, k=k, ell=ell, delta=1, **{key: param}).log
+                    ratio = LogValue.of(count).log - rhs if count else None
+                    rows.append((k, ell, family, param, cap, count, rhs, ratio))
     return rows
 
 

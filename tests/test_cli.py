@@ -9,7 +9,7 @@ import pytest
 
 import sumfree
 
-from sumfree import cli, enumeration, verify
+from sumfree import BudgetError, cli, enumeration, p_star, verify
 from sumfree.cli import main
 
 RECORD_FIELDS = {"schema_version", "op", "params", "result", "elapsed_ms", "version", "timestamp"}
@@ -71,7 +71,7 @@ def test_invalid_usage_exits_2(capsys):
         "constant --n 10 --m 20 --count 5",
         "constant --n 10 --m -1 --count 5",
         "trend --n-list 12 --m-rule div:0",
-        "trend --n-list 0 --count 10",
+        "trend --n-list 0",
         "sample --n 10 --m 3 --count -5",
         "count --n -1",
         "strata --n -1 --m 1",
@@ -94,6 +94,16 @@ def test_budget_exit_3(capsys):
                  ["smallsumset", "--n", "3000", "--m", "2000", "--cap", "100000000"]):
         code, out, err = run(argv, capsys)
         assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:"), (argv, err)
+
+
+def test_ratio_table_keeps_its_budget(capsys):
+    # --ratio-table ignored --budget and printed the whole table
+    code, out, err = run(["restricted", "--k", "30", "--ratio-table", "--budget", "1"], capsys)
+    assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:"), err
+    candidates = sum(p_star(k, ell) for ell in range(1, 13) for k in range(31))
+    assert len(verify.restricted_ratio_table(30, 12, budget=candidates)) == 6 * 133
+    with pytest.raises(BudgetError):
+        verify.restricted_ratio_table(30, 12, budget=candidates - 1)
 
 
 def test_resource_errors_exit_3(capsys, monkeypatch):
@@ -286,14 +296,14 @@ def test_values_past_the_float_range_exit_2(capsys):
 
 
 def test_trend_budget_reaches_strata_and_samples(capsys):
-    for n_list in ("20", "30"):  # exact strata up to TREND_EXACT_LIMIT, samples beyond
-        code, out, err = run(["trend", "--n-list", n_list, "--count", "10", "--budget", "1"], capsys)
+    for n_list in ("20", "30"):  # both read the strata, on either side of the old sampling limit n = 26
+        code, out, err = run(["trend", "--n-list", n_list, "--budget", "1"], capsys)
         assert (code, out, err) == (3, "", "budget error: search node budget exceeded (1)\n"), n_list
 
 
 def test_trend_csv(capsys):
     code, out, _ = run(
-        ["trend", "--n-list", "12,16", "--m-rule", "sqrt", "--count", "100", "--format", "csv"],
+        ["trend", "--n-list", "12,16", "--m-rule", "sqrt", "--format", "csv"],
         capsys,
     )
     assert code == 0

@@ -48,7 +48,7 @@ CASES = [
     "inequalities --kind binom --a 10 --b 4 --c 2",
     "inequalities --kind gamma --a 1 --gamma-b 1.5",
     "sample --n 12 --m 3 --count 50 --seed 7",
-    "trend --n-list 12,16 --count 100",
+    "trend --n-list 12,16",
     "count --n 12 --format table",
     "count --n 12 --format csv",
     "inequalities --kind binom --a 10 --b 4 --c 2 --format table",
