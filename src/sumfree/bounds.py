@@ -266,13 +266,16 @@ def build_pair_graph(n: int, s_values, excluded=()) -> PairGraph:
 
     With nothing excluded and n even, the edge count equals
     sum over s in S of (n/2 - s), the total low-part deficiency, and the
-    maximum degree is at most 2|S|.
+    maximum degree is at most 2|S|.  Excluded values must lie in
+    {1, ..., n}.
     """
     s_bits = coerce_bits(s_values)
     half = (n + 1) // 2
     if s_bits.bit_length() - 1 > half:
         raise ValueError("S must lie in {1, ..., ceil(n/2)}")
     ex_bits = coerce_bits(excluded)
+    if ex_bits.bit_length() - 1 > n:
+        raise ValueError(f"excluded values must lie in {{1, ..., {n}}}")
     vbits = (((1 << (n + 1)) - 1) ^ ((1 << (half + 1)) - 1)) & ~ex_bits
     edges = []
     for s in iter_bits(s_bits):

@@ -10,9 +10,13 @@ hit is replayed byte-identically without running the query.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad config
 file and an unusable cache directory included), 3 budget exceeded (or the
-interpreter's stack or memory, on a query no budget foresaw).  A
-key=value config file (--config) presets budget, format, seed and cache;
-flags always win.
+interpreter's stack or memory, on a query no budget foresaw).
+
+A subcommand takes only the flags it reads: every one but verify takes
+--format, --cache and --config, the ones whose library call has a budget
+take --budget, and sample takes --seed.  A key=value config file
+(--config) presets budget, format, seed and cache for the subcommands that
+take them; flags always win.
 """
 
 from __future__ import annotations
@@ -139,11 +143,10 @@ class Command(NamedTuple):
 
     help: str
     args: tuple
-    call: Optional[Callable] = None  # the library call: call(**params, **run)
+    call: Optional[Callable] = None  # the library call: call(**params), plus the budget keyword when set
     project: Callable = lambda result: result  # library value -> the record's result
-    common: tuple = ()  # common flags that are also query params
     params: Optional[Callable] = None  # rewrites params where the generic rule does not fit
-    run: dict = {}  # library keyword -> common flag, passed when the flag is set
+    budget: Optional[str] = None  # the library keyword that --budget sets; without it no --budget
 
 
 def _pick(obj, *names) -> dict:
@@ -216,11 +219,10 @@ VALUES = "e.g. 1,2,4 or 3:9"
 N, M, K = ("--n", int, None, True), ("--m", int, None, True), ("--k", int, None, True)
 S = ("--s", _parse_values, None, True, VALUES)
 DISTINCT = ("--distinct-only", bool, False, False, "do not count x + x = z")
-SEARCH = {"node_budget": "budget"}
 
-#: the config file's keys; each sets the default of the common flag of that name
+#: the config file's keys; each sets the default of the flag of that name where a subcommand takes it
 CONFIG_KEYS = ("budget", "format", "seed", "cache")
-COMMON = (("--format", ("records", "table", "csv"), "records"), ("--budget", int), ("--seed", int, 0),
+COMMON = (("--format", ("records", "table", "csv"), "records"),
           ("--cache", str, None, False, "cache directory for result replay"),
           ("--config", str, None, False, "key=value config file"))
 
@@ -229,29 +231,31 @@ COMMANDS = {
         "count sum-free m-subsets of {1..n}",
         (N, ("--m", int), ("--universe", str, None, False, "restrict to these values, e.g. 5:10"), DISTINCT,
          ("--oracle", bool, False, False, "use the subset oracle")),
-        _count, lambda res: _pick(res, "total", "by_size", "method", "nodes"), run=SEARCH),
+        _count, lambda res: _pick(res, "total", "by_size", "method", "nodes"), budget="node_budget"),
     "enumerate": Command(
         "list sum-free sets", (N, ("--m", int), DISTINCT), lambda **q: list(enumeration.enumerate_sum_free(**q)),
-        lambda sets: {"count": len(sets), "sets": sets}, run={"stream_budget": "budget"}),
+        lambda sets: {"count": len(sets), "sets": sets}, budget="stream_budget"),
     "strata": Command(
         "joint (ell, k) distribution of sum-free m-sets", (N, M, DISTINCT), enumeration.stratified_counts,
         lambda t: [{"ell": ell, "k": k, "count": c, "odd_only": t.odd_joint.get((ell, k), 0)}
-                   for (ell, k), c in sorted(t.joint.items())], run=SEARCH),
+                   for (ell, k), c in sorted(t.joint.items())], budget="node_budget"),
     "window": Command(
         "sum-free count in the window {ceil(n/2)-a, ..., n}", (N, ("--a", int, None, True), M, DISTINCT),
-        enumeration.count_in_window, lambda w: {**asdict(w), "probability_float": float(w.probability)}, run=SEARCH),
+        enumeration.count_in_window, lambda w: {**asdict(w), "probability_float": float(w.probability)},
+        budget="node_budget"),
     "partitions": Command(
         "p(k), or p*(k, ell) when --ell is given", (K, ("--ell", int)),
-        lambda k, ell=None: {"p": partitions.p(k)} if ell is None else {"p_star": partitions.p_star(k, ell)},
-        params=lambda q: q if q["ell"] is not None else {"k": q["k"]}),
+        lambda **q: {"p_star": partitions.p_star(**q)} if "ell" in q else {"p": partitions.p(**q)},
+        budget="budget", params=lambda q: q if q["ell"] is not None else {"k": q["k"]}),
     "restricted": Command(
         "count ell-sets summing to k with a sumset cap",
         (K, ("--ell", int), ("--sumset-cap", int), ("--universe-cap", int),
-         ("--ratio-table", bool, False, False, "full cap/bound ratio table")), _restricted, run={"budget": "budget"},
-        params=lambda q: q if not q.pop("ratio_table") else dict(kmax=q["k"], ellmax=q["ell"] or 12, ratio_table=True)),
+         ("--ratio-table", bool, False, False, "full cap/bound ratio table")), _restricted, budget="budget",
+        params=lambda q: q if not q.pop("ratio_table")
+        else dict(kmax=q["k"], ellmax=12 if q["ell"] is None else q["ell"], ratio_table=True)),
     "smallsumset": Command(
         "count m-subsets of {1..n} with |S+S| <= cap, vs 2^(dm) C(cap/2, m)",
-        (N, M, ("--cap", int, None, True), ("--delta", float, 1.0)), _smallsumset, run={"budget": "budget"}),
+        (N, M, ("--cap", int, None, True), ("--delta", float, 1.0)), _smallsumset, budget="budget"),
     "sumset": Command(
         "sumset of two sets (span and doubling when B omitted)",
         (("--a", _parse_values, None, True, VALUES), ("--b", _parse_values)), _sumset),
@@ -288,15 +292,15 @@ COMMANDS = {
         else {"kind": "binom", "a": q["a"], "b": q["b"], "c": q["c"], "d": q["d"] or 0}),
     "sample": Command(
         "uniform random sum-free m-sets, exact by unranking on the count memo",
-        (N, M, ("--count", int, None, True), DISTINCT), sampling.sample_uniform, common=("seed",), run=SEARCH,
+        (N, M, ("--count", int, None, True), DISTINCT, ("--seed", int, 0)), sampling.sample_uniform,
         project=lambda rep: {"histogram": {f"{ell},{k},{int(odd)}": c for (ell, k, odd), c in rep.histogram.items()},
-                             **_pick(rep, "ell_quantiles", "k_quantiles", "acceptance")}),
+                             **_pick(rep, "ell_quantiles", "k_quantiles", "acceptance")}, budget="node_budget"),
     "trend": Command(
         "scaled low-part statistics across n",
         (("--n-list", _parse_values, None, True, "e.g. 12,16,20"),
-         ("--m-rule", str, "sqrt", False, "sqrt | half | div:K | fixed:M")), sampling.structure_trend, run=SEARCH,
+         ("--m-rule", str, "sqrt", False, "sqrt | half | div:K | fixed:M")), sampling.structure_trend,
         project=lambda rows: [{**asdict(r), "ell_scaled": round(r.ell_scaled, 6), "k_scaled": round(r.k_scaled, 6)}
-                              for r in rows]),
+                              for r in rows], budget="node_budget"),
     "verify": Command("run the acceptance checks", (("--suite", ("small", "full"), "full"),)),
 }
 
@@ -318,22 +322,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
-    """The parser; `config` values become the common flags' defaults, so flags win."""
-    common = argparse.ArgumentParser(add_help=False)
-    _add_arguments(common, COMMON)
-    common.set_defaults(**(config or {}))
+    """The parser; `config` values become the defaults of the flags they name, so flags win."""
     description = "Exact enumeration and bounds for sum-free integer sets"
     parser = _Parser(prog="sumfree", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=command.help, parents=[common]), command.args)
+        subparser = sub.add_parser(name, help=command.help)
+        budget = (("--budget", int),) if command.budget else ()
+        _add_arguments(subparser, (COMMON if command.call else ()) + command.args + budget)  # verify: --suite only
+        subparser.set_defaults(**(config or {}))
     return parser
 
 
 def _params(command: Command, ns) -> dict:
     """The query's params: every argument by its dest, with RENAMES, then the entry's rewrite."""
-    names = [spec[0][2:].replace("-", "_") for spec in command.args] + list(command.common)
+    names = [spec[0][2:].replace("-", "_") for spec in command.args]
     params = {RENAMES.get(name, name): getattr(ns, name) for name in names}
     if "allow_equal" in params:
         params["allow_equal"] = not params["allow_equal"]
@@ -349,7 +353,7 @@ def _load_config(path):
                 key, sep, value = (part.strip() for part in line.partition("="))
                 if not sep or key not in CONFIG_KEYS:
                     raise ValueError(f"bad config line {line!r}: want key = value with a key in {CONFIG_KEYS}")
-                settings[key] = value
+                settings[key] = int(value) if key in ("budget", "seed") else value
     return settings
 
 
@@ -373,7 +377,7 @@ def _cache_write(path: str, payload: str):
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        if ns.config:
+        if getattr(ns, "config", None):  # verify takes no --config
             ns = build_parser(_load_config(ns.config)).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
@@ -396,8 +400,8 @@ def main(argv=None) -> int:
                     sys.stdout.write(fh.read())
                 return 0
         t0 = time.perf_counter()
-        run = {keyword: getattr(ns, flag) for keyword, flag in command.run.items() if getattr(ns, flag) is not None}
-        result = command.project(command.call(**params, **run))
+        budget = {command.budget: ns.budget} if command.budget and ns.budget is not None else {}
+        result = command.project(command.call(**params, **budget))
         elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
         record = {"schema_version": SCHEMA_VERSION, "op": ns.command, "params": record_params,
                   "result": _jsonable(result), "elapsed_ms": elapsed_ms, "version": __version__,

@@ -5,7 +5,9 @@ p_star(k, ell) counts partitions of k into ell distinct parts, equivalently
 the ell-element sets of positive integers with element sum k; it satisfies
 the recurrence p*(k, ell) = p*(k - ell, ell - 1) + p*(k - ell, ell)
 (subtract one from every part; the smallest part either was 1 and vanishes
-or stays positive) and vanishes when k < ell(ell+1)/2.
+or stays positive) and vanishes when k < ell(ell+1)/2.  Both refuse
+(BudgetError) a table past their budget: p counts its additions, p_star
+its k ell cells.
 
 The restricted counters answer "how many of those sets also have a small
 sumset".  No closed form is known, so they enumerate the candidate sets
@@ -32,31 +34,49 @@ DEFAULT_BUDGET = 10**7
 _p_cache: list[int] = [1]
 
 
-def p(k: int) -> int:
-    """Number of integer partitions of k (exact)."""
+def p(k: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of integer partitions of k (exact), by Euler's pentagonal recurrence.
+
+    p(s) is the signed sum of p(s - g) over the generalized pentagonal
+    numbers g = i(3i -/+ 1)/2 <= s, sign (-1)^(i+1).  The table up to k
+    takes sum over g <= k of (k + 1 - g) additions, about 1.09 k^1.5; past
+    `budget` of them it refuses (BudgetError) before adding, whatever an
+    earlier call already holds.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(_p_cache):
-        _grow_p_cache(max(k, 2 * len(_p_cache)))
+    pentagonal, additions, i = [], 0, 1
+    while i * (3 * i - 1) // 2 <= k:
+        for g in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2):
+            additions += max(k + 1 - g, 0)
+            pentagonal.append((g, i % 2))
+        if additions > budget:
+            raise BudgetError(f"p({k}) takes more than {budget} additions")
+        i += 1
+    for s in range(len(_p_cache), k + 1):
+        total = 0
+        for g, positive in pentagonal:
+            if g > s:
+                break
+            total = total + _p_cache[s - g] if positive else total - _p_cache[s - g]
+        _p_cache.append(total)
     return _p_cache[k]
 
 
-def _grow_p_cache(kmax: int) -> None:
-    table = [1] + [0] * kmax
-    for part in range(1, kmax + 1):
-        for s in range(part, kmax + 1):
-            table[s] += table[s - part]
-    _p_cache[:] = table
+def p_star(k: int, ell: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of ell-element sets of distinct positive integers summing to k.
 
-
-def p_star(k: int, ell: int) -> int:
-    """Number of ell-element sets of distinct positive integers summing to k."""
+    The table has k ell cells; past `budget` of them it refuses
+    (BudgetError) before allocating.
+    """
     if k < 0 or ell < 0:
         raise ValueError("k and ell must be >= 0")
     if ell == 0:
         return 1 if k == 0 else 0
     if k < ell * (ell + 1) // 2:
         return 0
+    if k * ell > budget:
+        raise BudgetError(f"p*({k}, {ell}) takes {k * ell} table cells, past the budget ({budget})", estimate=k * ell)
     prev = [0] * (k + 1)
     prev[0] = 1
     for j in range(1, ell + 1):

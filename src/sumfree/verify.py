@@ -6,9 +6,10 @@ the real gate.  Frozen desk-scale calibrations (first exact run, then
 fixed; any later regression fails):
 
 - count_growth: count(n)/2^(n/2) for even n in [10, 40] lies in [1, 14],
-  increases through n = 36, and is flat within 0.2 afterwards (measured
-  plateau is about 13.5); the inverted count constant C*(n, m) stays
-  below 4 for every m >= sqrt(n).
+  increases through n = 36, and is flat within 0.2 afterwards (13.5, at
+  n = 40, is the highest value seen at desk scale, not a limit: past
+  n = 40 the ratio falls for even and odd n alike); the inverted count
+  constant C*(n, m) stays below 4 for every m >= sqrt(n).
 - lower_bound: the window {ceil(n/2)-a, ..., n} with a = floor(0.05 n^2/m^2)
   has distinct-summand sum-free probability >= exp(-0.05 n / (2m)).  The
   x + x = z pairs are excluded here: with them the pinned constant 0.05
@@ -283,8 +284,11 @@ def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAU
     floor(lam * ell) with 2^ell ((4 lam - 3) e / 6)^ell, asserted only on
     its hypothesis range k <= ell^2.  The table enumerates at most `budget`
     candidates in all: each cell's profile gets what the cells before it
-    left, and refuses (BudgetError) past it.
+    left, and refuses (BudgetError) past it.  A negative kmax or ellmax
+    raises ValueError.
     """
+    if kmax < 0 or ellmax < 0:
+        raise ValueError(f"need kmax >= 0 and ellmax >= 0, not {kmax}, {ellmax}")
     rows = []
     left = budget
     for ell in range(1, ellmax + 1):

@@ -208,6 +208,8 @@ def test_pair_graph_exclusion():
     g = build_pair_graph(10, {1}, excluded={8})
     assert g.edges == ((6, 7), (9, 10))
     assert 8 not in g.vertices
+    with pytest.raises(ValueError, match="excluded"):  # was accepted without a word
+        build_pair_graph(10, {1}, excluded={11})
 
 
 def test_theorem_rhs_forms():

@@ -75,6 +75,7 @@ def test_invalid_usage_exits_2(capsys):
         "sample --n 10 --m 3 --count -5",
         "count --n -1",
         "strata --n -1 --m 1",
+        "pairgraph --n 10 --s 1 --excluded 100",
     ):
         code, out, err = run(argv.split(), capsys)
         assert (code, out, len(err.splitlines())) == (2, "", 1), (argv, err)
@@ -91,7 +92,8 @@ def test_budget_exit_3(capsys):
         assert code == 3 and "budget" in err
     # far beyond the default budget: refused before the search, not by the interpreter's recursion limit
     for argv in (["count", "--n", "3000"], ["strata", "--n", "3000", "--m", "4"],
-                 ["smallsumset", "--n", "3000", "--m", "2000", "--cap", "100000000"]):
+                 ["smallsumset", "--n", "3000", "--m", "2000", "--cap", "100000000"],
+                 ["partitions", "--k", "100000000"], ["partitions", "--k", "100000000", "--ell", "1000"]):
         code, out, err = run(argv, capsys)
         assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:"), (argv, err)
 
@@ -104,6 +106,18 @@ def test_ratio_table_keeps_its_budget(capsys):
     assert len(verify.restricted_ratio_table(30, 12, budget=candidates)) == 6 * 133
     with pytest.raises(BudgetError):
         verify.restricted_ratio_table(30, 12, budget=candidates - 1)
+
+
+def test_ratio_table_reads_ell_zero_and_refuses_negatives(capsys):
+    # --ell 0 built the whole ell <= 12 table, and a negative --k or --ell printed an empty one
+    code, out, _ = run(["restricted", "--k", "4", "--ell", "0", "--ratio-table"], capsys)
+    rec = json.loads(out)
+    assert (code, rec["params"]["ellmax"], rec["result"]) == (0, 0, [])
+    for argv in ("--k -1", "--k 4 --ell -1"):
+        code, out, err = run(["restricted", "--ratio-table", *argv.split()], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1), (argv, err)
+    with pytest.raises(ValueError):
+        verify.restricted_ratio_table(4, -1)
 
 
 def test_resource_errors_exit_3(capsys, monkeypatch):
@@ -168,6 +182,39 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
         cfg.write_text(bad)
         code, _, err = run(["count", "--n", "10", "--config", str(cfg)], capsys)
         assert code == 2 and "error" in err
+
+
+READERS = {"--seed": {"sample"}, "--budget": {"count", "enumerate", "strata", "window", "partitions", "restricted",
+                                               "smallsumset", "sample", "trend"}}
+
+
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys):
+    # every subcommand took --seed and --budget, and verify --format, --cache and --config, and ignored them
+    cfg = tmp_path / "sumfree.cfg"
+    cfg.write_text("format = csv\n")
+    flags = {"--seed": "1", "--budget": "10000", "--format": "csv", "--cache": str(tmp_path / "c"), "--config": str(cfg)}
+    refused = accepted = 0
+    for name, command in cli.COMMANDS.items():
+        base = [name] + [f"{spec[0]}={_small(spec)}" for spec in command.args if spec[3:4] == (True,)]
+        for flag, value in flags.items():
+            code, out, err = run(base + [flag, value], capsys)
+            if name != "verify" and name in READERS.get(flag, cli.COMMANDS):
+                accepted += 1
+                assert "unrecognized arguments" not in err, (name, flag, err)
+            else:
+                refused += 1
+                assert (code, out, len(err.splitlines())) == (2, "", 1) and "unrecognized arguments" in err, (name, flag)
+    assert (refused, accepted) == (29, 61)  # of the 30 ignored, partitions now reads --budget
+    # seed and budget set in a config file still reach the commands that read them
+    cfg.write_text("seed = 77\nbudget = 0\n")
+    code, out, err = run(["count", "--n", "10", "--config", str(cfg)], capsys)
+    assert (code, out) == (3, "") and err.startswith("budget error:"), err
+    argv = ["sample", "--n", "12", "--m", "3", "--count", "20"]
+    cfg.write_text("seed = 77\n")
+    _, from_config, _ = run(argv + ["--config", str(cfg)], capsys)
+    _, from_flag, _ = run(argv + ["--seed", "77"], capsys)
+    rec, expected = json.loads(from_config), json.loads(from_flag)
+    assert (rec["params"], rec["result"]) == (expected["params"], expected["result"]) and rec["params"]["seed"] == 77
 
 
 def test_threads_flag_and_config_key_are_gone(tmp_path, capsys):
@@ -359,13 +406,14 @@ def test_boundary_values_exit_cleanly(capsys):
     # every argument of every subcommand in turn at a boundary value, the required others small and valid
     for name, command in cli.COMMANDS.items():
         specs = [spec for spec in command.args if spec[1] is not bool]
-        if "budget" in command.run.values():
+        if command.budget:
             specs.append(("--budget", int))
+        budget = {"--budget": "10000"} if command.budget else {}  # only where the command reads it
         base = {spec[0]: _small(spec) for spec in specs if spec[3:4] == (True,)}
         for spec in specs:
             lists = spec[1] in (cli._parse_values, cli._parse_family)
             for value in ("-1", "0", "", "nan") + (("1:0",) if lists else ()):
-                args = {**base, "--budget": "10000", spec[0]: value}
+                args = {**base, **budget, spec[0]: value}
                 argv = [name] + [f"{flag}={v}" for flag, v in args.items()]
                 code, _, err = run(argv, capsys)
                 assert code in (0, 2, 3) and len(err.splitlines()) <= 1, (argv, code, err)

@@ -53,6 +53,33 @@ def test_p_against_enumeration():
         assert p(k) == sum(1 for _ in enum_partitions(k))
 
 
+def test_p_equals_the_part_by_part_table():
+    # the quadratic table p(k) was built with before the pentagonal recurrence
+    kmax = 1000
+    table = [1] + [0] * kmax
+    for part in range(1, kmax + 1):
+        for s in range(part, kmax + 1):
+            table[s] += table[s - part]
+    assert [p(k) for k in range(kmax + 1)] == table
+
+
+def test_p_and_p_star_refuse_past_their_budget():
+    # partitions --k 100000000 ran the quadratic table with no budget and never returned
+    pentagonal = [i * (3 * i + sign) // 2 for i in range(1, 20) for sign in (-1, 1)]
+    additions = sum(1 for s in range(1, 101) for g in pentagonal if g <= s)
+    p(200)  # a table already built past k does not change the decision
+    assert p(100, budget=additions) == 190569292
+    with pytest.raises(BudgetError):
+        p(100, budget=additions - 1)
+    with pytest.raises(BudgetError):
+        p(10**8)
+    assert p_star(30, 4, budget=120) == p_star(30, 4) == 108
+    with pytest.raises(BudgetError):
+        p_star(30, 4, budget=119)
+    with pytest.raises(BudgetError):  # refused before its 10^9-entry lists are allocated
+        p_star(10**9, 1000)
+
+
 def test_p_star_examples():
     assert p_star(8, 3) == 2  # 5+2+1 and 4+3+1
     assert all(p_star(k, 1) == 1 for k in range(1, 30))
