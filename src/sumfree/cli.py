@@ -16,7 +16,8 @@ A subcommand takes only the flags it reads: every one but verify takes
 --format, --cache and --config, the ones whose library call has a budget
 take --budget, and sample takes --seed.  A key=value config file
 (--config) presets budget, format, seed and cache for the subcommands that
-take them; flags always win.
+take them, each value parsed and checked by argparse like its flag; flags
+always win.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ def _parse_values(text: str) -> list[int]:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """Parse "1/4" or "0.25"; a zero denominator raises ValueError like any malformed value."""
+    """Parse "1/4" or "0.25"; a malformed value or a zero denominator is a usage error naming the value."""
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"want a fraction such as 1/4 or 0.25, not {text!r}") from None
 
 
 def _parse_family(text: str) -> list[list[int]]:
@@ -94,48 +95,26 @@ def _key(k):
     return str(k)
 
 
-class Emitter:
-    def __init__(self, fmt: str, out):
-        self.fmt = fmt
-        self.out = out
-
-    def emit_record(self, record: dict):
-        if self.fmt == "records":
-            self.out.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
-        elif self.fmt == "csv":
-            self._emit_csv(record)
-        else:
-            self._emit_table(record)
-
-    def _rows(self, record):
-        result = record["result"]
-        if isinstance(result, list) and result and isinstance(result[0], dict):
-            return result
-        if isinstance(result, dict):
-            return [result]
-        return [{"result": result}]
-
-    def _emit_csv(self, record):
-        rows = self._rows(record)
-        fields = sorted({k for row in rows for k in row})
-        writer = csv.DictWriter(self.out, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _flat(row.get(k)) for k in fields})
-
-    def _emit_table(self, record):
-        rows = self._rows(record)
-        fields = sorted({k for row in rows for k in row})
-        table = [fields] + [[_flat(row.get(k)) for k in fields] for row in rows]
-        widths = [max(len(str(r[i])) for r in table) for i in range(len(fields))]
-        for r in table:
-            self.out.write("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
+def _emit(record: dict, fmt: str, out):
+    """Write a record as one JSON line, or its result rows as CSV or an aligned table."""
+    if fmt == "records":
+        out.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+        return
+    rows = record["result"]
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], dict)):
+        rows = [rows if isinstance(rows, dict) else {"result": rows}]
+    fields = sorted({k for row in rows for k in row})
+    table = [fields] + [[_flat(row.get(k)) for k in fields] for row in rows]
+    if fmt == "csv":
+        csv.writer(out).writerows(table)
+        return
+    widths = [max(len(str(r[i])) for r in table) for i in range(len(fields))]
+    for r in table:
+        out.write("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
 def _flat(v):
-    if isinstance(v, (dict, list)):
-        return json.dumps(v, sort_keys=True)
-    return v
+    return json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
 
 
 class Command(NamedTuple):
@@ -220,11 +199,12 @@ N, M, K = ("--n", int, None, True), ("--m", int, None, True), ("--k", int, None,
 S = ("--s", _parse_values, None, True, VALUES)
 DISTINCT = ("--distinct-only", bool, False, False, "do not count x + x = z")
 
-#: the config file's keys; each sets the default of the flag of that name where a subcommand takes it
-CONFIG_KEYS = ("budget", "format", "seed", "cache")
-COMMON = (("--format", ("records", "table", "csv"), "records"),
-          ("--cache", str, None, False, "cache directory for result replay"),
-          ("--config", str, None, False, "key=value config file"))
+FORMAT = ("--format", ("records", "table", "csv"), "records")
+CACHE = ("--cache", str, None, False, "cache directory for result replay")
+BUDGET, SEED = ("--budget", int), ("--seed", int, 0)
+COMMON = (FORMAT, CACHE, ("--config", str, None, False, "key=value config file"))
+#: the config file's keys, each parsed like the flag of its name, whose default it sets where a subcommand takes it
+CONFIG = {spec[0][2:]: spec[:2] for spec in (BUDGET, FORMAT, SEED, CACHE)}
 
 COMMANDS = {
     "count": Command(
@@ -262,8 +242,7 @@ COMMANDS = {
     "freiman": Command("progression cover in the small-doubling regime", (S,), _freiman),
     "bset": Command(
         "translates y with |(S+y) \\ (S+S)| <= delta |S|",
-        (S, ("--delta", str, None, True, "fraction in [0,1), e.g. 1/4")), _bset,
-        params=lambda q: {**q, "delta": _parse_fraction(q["delta"])}),  # in main: a bad value exits 2, one line
+        (S, ("--delta", _parse_fraction, None, True, "fraction in [0,1), e.g. 1/4")), _bset),
     "janson": Command(
         "first/second moments of a subset family under a uniform draw",
         (("--family", _parse_family, None, True, 'sets separated by "|", e.g. 1,3|3,5'),
@@ -292,7 +271,7 @@ COMMANDS = {
         else {"kind": "binom", "a": q["a"], "b": q["b"], "c": q["c"], "d": q["d"] or 0}),
     "sample": Command(
         "uniform random sum-free m-sets, exact by unranking on the count memo",
-        (N, M, ("--count", int, None, True), DISTINCT, ("--seed", int, 0)), sampling.sample_uniform,
+        (N, M, ("--count", int, None, True), DISTINCT, SEED), sampling.sample_uniform,
         project=lambda rep: {"histogram": {f"{ell},{k},{int(odd)}": c for (ell, k, odd), c in rep.histogram.items()},
                              **_pick(rep, "ell_quantiles", "k_quantiles", "acceptance")}, budget="node_budget"),
     "trend": Command(
@@ -329,7 +308,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         subparser = sub.add_parser(name, help=command.help)
-        budget = (("--budget", int),) if command.budget else ()
+        budget = (BUDGET,) if command.budget else ()
         _add_arguments(subparser, (COMMON if command.call else ()) + command.args + budget)  # verify: --suite only
         subparser.set_defaults(**(config or {}))
     return parser
@@ -345,16 +324,19 @@ def _params(command: Command, ns) -> dict:
 
 
 def _load_config(path):
-    settings = {}
+    """The settings of a key = value config file; argparse checks each value like its flag, a bad one exits 2."""
+    argv = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):
                 key, sep, value = (part.strip() for part in line.partition("="))
-                if not sep or key not in CONFIG_KEYS:
-                    raise ValueError(f"bad config line {line!r}: want key = value with a key in {CONFIG_KEYS}")
-                settings[key] = int(value) if key in ("budget", "seed") else value
-    return settings
+                if not sep or key not in CONFIG:
+                    raise ValueError(f"bad config line {line!r}: want key = value with a key in {tuple(CONFIG)}")
+                argv.append(f"--{key}={value}")
+    parser = _Parser(prog="sumfree config file")
+    _add_arguments(parser, CONFIG.values())
+    return {key: value for key, value in vars(parser.parse_args(argv)).items() if value is not None}
 
 
 def _cache_path(cache_dir: str, op: str, params: dict, fmt: str) -> str:
@@ -407,7 +389,7 @@ def main(argv=None) -> int:
                   "result": _jsonable(result), "elapsed_ms": elapsed_ms, "version": __version__,
                   "timestamp": datetime.now(timezone.utc).isoformat()}
         out = io.StringIO() if path else sys.stdout
-        Emitter(ns.format, out).emit_record(record)
+        _emit(record, ns.format, out)
         if path:
             _cache_write(path, out.getvalue())
             sys.stdout.write(out.getvalue())

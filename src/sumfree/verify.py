@@ -1,4 +1,9 @@
-"""Acceptance checks shared by the test suite and `sumfree verify`.
+"""Acceptance checks: one gate for the test suite and `sumfree verify`.
+
+Each criterion is declared once, by `@criterion(cid, name, seconds=...)`
+on a check that returns (passed, detail).  The decorator times the check,
+fails it at or past its time bound, and appends it to ALL_CHECKS, which
+tests/test_acceptance.py and `sumfree verify` both run.
 
 Each check is exact or uses the frozen tolerance recorded next to it; the
 "small" scale shrinks ranges for a quick smoke run, the "full" scale is
@@ -25,6 +30,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from math import comb, exp, gcd, isqrt
 
@@ -62,17 +68,44 @@ class CheckResult:
     detail: str
     elapsed: float
 
+    def __str__(self):
+        status = "PASS" if self.passed else "FAIL"
+        return f"[{status}] criterion {self.cid:>2}: {self.name} ({self.elapsed:.1f}s) - {self.detail}"
 
-def _result(cid, name, passed, detail, t0) -> CheckResult:
-    return CheckResult(cid, name, passed, detail, time.perf_counter() - t0)
+
+#: the declared criteria in declaration order; each takes the scale and returns a CheckResult
+ALL_CHECKS = []
+
+
+def criterion(cid: str, name: str, seconds: float | None = None):
+    """Declare a check, returning (passed, detail), as criterion `cid` and append it to ALL_CHECKS.
+
+    The declared check takes the scale and returns a timed CheckResult; one
+    that takes `seconds` or longer fails, whatever its own verdict.
+    """
+
+    def declare(check):
+        @wraps(check)
+        def timed(scale: str = "full") -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = check(scale)
+            elapsed = time.perf_counter() - t0
+            if seconds is not None and elapsed >= seconds:
+                passed, detail = False, f"{detail}; over its {seconds} s bound"
+            return CheckResult(cid, name, passed, detail, elapsed)
+
+        ALL_CHECKS.append(timed)
+        return timed
+
+    return declare
 
 
 # ----------------------------------------------------------------------
 
 
-def check_oracle_equivalence(scale: str = "full") -> CheckResult:
+@criterion("1", "oracle equivalence", seconds=120)
+def check_oracle_equivalence(scale: str = "full") -> tuple[bool, str]:
     """1. Search equals the subset oracle for every n, m and both conventions."""
-    t0 = time.perf_counter()
     nmax = 20 if scale == "full" else 12
     bad = []
     for allow_equal in (True, False):
@@ -82,19 +115,19 @@ def check_oracle_equivalence(scale: str = "full") -> CheckResult:
             if a.by_size != b.by_size:
                 bad.append((n, allow_equal))
     detail = f"n <= {nmax}, all m, both conventions; mismatches: {bad}"
-    return _result("1", "oracle equivalence", not bad, detail, t0)
+    return not bad, detail
 
 
-def check_pinned_partition_values(scale: str = "full") -> CheckResult:
+@criterion("2", "pinned partition values")
+def check_pinned_partition_values(scale: str = "full") -> tuple[bool, str]:
     """2. p(3) = 3 and p*_3(8) = 2 exactly."""
-    t0 = time.perf_counter()
     ok = p(3) == 3 and p_star(8, 3) == 2
-    return _result("2", "pinned partition values", ok, f"p(3)={p(3)}, p*(8,3)={p_star(8, 3)}", t0)
+    return ok, f"p(3)={p(3)}, p*(8,3)={p_star(8, 3)}"
 
 
-def check_distinct_parts_bound(scale: str = "full") -> CheckResult:
+@criterion("3", "distinct-parts bound", seconds=10)
+def check_distinct_parts_bound(scale: str = "full") -> tuple[bool, str]:
     """3. p*(k, ell) < (e^2 k / ell^2)^ell for all ell >= 1, staircase <= k <= 120."""
-    t0 = time.perf_counter()
     kmax = 120 if scale == "full" else 60
     violations = 0
     cells = 0
@@ -107,14 +140,12 @@ def check_distinct_parts_bound(scale: str = "full") -> CheckResult:
             lhs = LogValue.of(p_star(k, ell))
             if not lhs.log < theorem_rhs("parts", k=k, ell=ell).log:
                 violations += 1
-    return _result(
-        "3", "distinct-parts bound", violations == 0, f"{cells} cells, {violations} violations", t0
-    )
+    return violations == 0, f"{cells} cells, {violations} violations"
 
 
-def check_count_growth(scale: str = "full") -> CheckResult:
+@criterion("4", "count growth caps", seconds=600)
+def check_count_growth(scale: str = "full") -> tuple[bool, str]:
     """4. Frozen growth caps: ratio in [1, 14], rise-then-flat; C* <= 4 for m >= sqrt(n)."""
-    t0 = time.perf_counter()
     nmax = 40 if scale == "full" else 24
     ratios = {}
     cstar_max = (None, -math.inf)
@@ -142,16 +173,16 @@ def check_count_growth(scale: str = "full") -> CheckResult:
         f"ratios {ratios[ns[0]]:.2f}..{ratios[ns[-1]]:.2f} (max {max(ratios.values()):.2f}), "
         f"max C*={cstar_max[1]:.3f} at {cstar_max[0]}; problems: {problems}"
     )
-    return _result("4", "count growth caps", not problems, detail, t0)
+    return not problems, detail
 
 
-def check_lower_bound(scale: str = "full") -> CheckResult:
+@criterion("5", "lower-bound construction", seconds=60)
+def check_lower_bound(scale: str = "full") -> tuple[bool, str]:
     """5. count(n, m) >= C(ceil(n/2), m); window probability >= exp(-0.05 n/(2m)).
 
     The probability clause uses the distinct-summand convention (see the
     module docstring for why the pinned constant forces that choice).
     """
-    t0 = time.perf_counter()
     ns = range(16, 29, 2) if scale == "full" else range(16, 21, 2)
     problems = []
     for n in ns:
@@ -167,12 +198,12 @@ def check_lower_bound(scale: str = "full") -> CheckResult:
                 problems.append(
                     f"window({n},a={a},{m}) probability {float(w.probability):.4f} < {bound:.4f}"
                 )
-    return _result("5", "lower-bound construction", not problems, f"problems: {problems}", t0)
+    return not problems, f"problems: {problems}"
 
 
-def check_freiman_exhaustive(scale: str = "full") -> CheckResult:
+@criterion("6", "progression covers", seconds=120)
+def check_freiman_exhaustive(scale: str = "full") -> tuple[bool, str]:
     """6. Small-doubling sets get a progression cover of length <= |S+S| - |S| + 1."""
-    t0 = time.perf_counter()
     vmax = 40 if scale == "full" else 24
     checked = 0
     failures = []
@@ -193,12 +224,12 @@ def check_freiman_exhaustive(scale: str = "full") -> CheckResult:
             if cover is None or not cover.contains(s) or cover.length > ss - size + 1:
                 failures.append(s)
     detail = f"{checked} small-doubling sets (max element {vmax}), failures: {failures[:5]}"
-    return _result("6", "progression covers", not failures, detail, t0)
+    return not failures, detail
 
 
-def check_b_set_bound(scale: str = "full") -> CheckResult:
+@criterion("7", "translate-set bound", seconds=60)
+def check_b_set_bound(scale: str = "full") -> tuple[bool, str]:
     """7. |b_set(S, d)| <= |S+S| / (1 - d) on random sets."""
-    t0 = time.perf_counter()
     cases = 10_000 if scale == "full" else 1_000
     rng = random.Random(1707)
     deltas = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
@@ -211,12 +242,12 @@ def check_b_set_bound(scale: str = "full") -> CheckResult:
         ss = len(sumset(s))
         if len(bs) * (1 - d) > ss:
             failures += 1
-    return _result("7", "translate-set bound", failures == 0, f"{cases} cases, {failures} failures", t0)
+    return failures == 0, f"{cases} cases, {failures} failures"
 
 
-def check_span_identity(scale: str = "full") -> CheckResult:
+@criterion("8", "span identity")
+def check_span_identity(scale: str = "full") -> tuple[bool, str]:
     """8. span(S + S) = 2 span(S) on random sets."""
-    t0 = time.perf_counter()
     cases = 10_000 if scale == "full" else 1_000
     rng = random.Random(88)
     failures = 0
@@ -225,7 +256,7 @@ def check_span_identity(scale: str = "full") -> CheckResult:
         s = rng.sample(range(1, 200), size)
         if span(sumset(s)) != 2 * span(s):
             failures += 1
-    return _result("8", "span identity", failures == 0, f"{cases} cases, {failures} failures", t0)
+    return failures == 0, f"{cases} cases, {failures} failures"
 
 
 def _janson_oracle_exact(family, ground_size, draw_size):
@@ -241,9 +272,9 @@ def _janson_oracle_exact(family, ground_size, draw_size):
     return mu, delta
 
 
-def check_janson_and_pair_graph(scale: str = "full") -> CheckResult:
+@criterion("9", "moment quantities and pair graph", seconds=60)
+def check_janson_and_pair_graph(scale: str = "full") -> tuple[bool, str]:
     """9. mu/Delta match an exact oracle; pair-graph has k edges, degree <= 2|S|."""
-    t0 = time.perf_counter()
     fams = 1000 if scale == "full" else 200
     rng = random.Random(41)
     problems = []
@@ -271,9 +302,7 @@ def check_janson_and_pair_graph(scale: str = "full") -> CheckResult:
                 problems.append(("edges", n, tuple(s), g.edge_count, expected))
             if g.max_degree > 2 * len(s):
                 problems.append(("degree", n, tuple(s)))
-    return _result(
-        "9", "moment quantities and pair graph", not problems, f"problems: {problems[:3]}", t0
-    )
+    return not problems, f"problems: {problems[:3]}"
 
 
 def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAULT_BUDGET):
@@ -307,7 +336,8 @@ def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAU
     return rows
 
 
-def check_restricted_tables(scale: str = "full") -> CheckResult:
+@criterion("10", "restricted-count tables", seconds=300)
+def check_restricted_tables(scale: str = "full") -> tuple[bool, str]:
     """10. Restricted counts stay below the delta=1 closed forms; ratios reported.
 
     The per-size family is asserted on its hypothesis range k <= ell^2
@@ -315,7 +345,6 @@ def check_restricted_tables(scale: str = "full") -> CheckResult:
     k = 90, lam = 3 has 631 unconstrained sets versus (3e)^3 ~ 542).
     Ratio rows cover the full grid either way.
     """
-    t0 = time.perf_counter()
     kmax = 90 if scale == "full" else 45
     rows = restricted_ratio_table(kmax=kmax)
     problems = []
@@ -338,7 +367,7 @@ def check_restricted_tables(scale: str = "full") -> CheckResult:
         f"worst log-ratio per-sum {worst['per-sum']:.2f}, per-size {worst['per-size']:.2f}; "
         f"problems: {problems[:4]}"
     )
-    return _result("10", "restricted-count tables", not problems, detail, t0)
+    return not problems, detail
 
 
 def chi2_quantile(p: float, df: int) -> float:
@@ -371,9 +400,9 @@ def chi2_quantile(p: float, df: int) -> float:
     return hi
 
 
-def check_sampler_uniformity(scale: str = "full") -> CheckResult:
+@criterion("11", "sampler uniformity", seconds=60)
+def check_sampler_uniformity(scale: str = "full") -> tuple[bool, str]:
     """11. Chi-square of 10^4 samples vs the exact support, under 0.999 quantile."""
-    t0 = time.perf_counter()
     seeds, draws, needed = (10, 10_000, 9) if scale == "full" else (3, 3_000, 2)
     support = [s.to_set() for s in enumerate_sum_free(12, 3)]
     k = len(support)
@@ -389,12 +418,12 @@ def check_sampler_uniformity(scale: str = "full") -> CheckResult:
         stats.append(round(stat, 1))
         ok += stat < threshold
     detail = f"support {k}, threshold {threshold:.1f}, stats {stats}, {ok}/{seeds} under"
-    return _result("11", "sampler uniformity", ok >= needed, detail, t0)
+    return ok >= needed, detail
 
 
-def check_inequality_sweeps(scale: str = "full") -> CheckResult:
+@criterion("12", "inequality sweeps", seconds=60)
+def check_inequality_sweeps(scale: str = "full") -> tuple[bool, str]:
     """12. Binomial-shift inequalities on random tuples; tail sum within 2x Gamma."""
-    t0 = time.perf_counter()
     cases = 10_000 if scale == "full" else 1_000
     rng = random.Random(12)
     failures = 0
@@ -416,30 +445,13 @@ def check_inequality_sweeps(scale: str = "full") -> CheckResult:
         f"{cases} binomial tuples ({failures} failures); "
         f"gamma grid tightest constant {tightest:.4f} (cap {GAMMA_CAP}, {gamma_fail} failures)"
     )
-    return _result("12", "inequality sweeps", failures == 0 and gamma_fail == 0, detail, t0)
-
-
-ALL_CHECKS = [
-    check_oracle_equivalence,
-    check_pinned_partition_values,
-    check_distinct_parts_bound,
-    check_count_growth,
-    check_lower_bound,
-    check_freiman_exhaustive,
-    check_b_set_bound,
-    check_span_identity,
-    check_janson_and_pair_graph,
-    check_restricted_tables,
-    check_sampler_uniformity,
-    check_inequality_sweeps,
-]
+    return failures == 0 and gamma_fail == 0, detail
 
 
 def run_all(scale: str = "full") -> list[CheckResult]:
+    """Run every declared criterion in order, printing one pass/fail line each."""
     results = []
-    for fn in ALL_CHECKS:
-        res = fn(scale)
-        results.append(res)
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] criterion {res.cid:>2}: {res.name} ({res.elapsed:.1f}s) - {res.detail}")
+    for check in ALL_CHECKS:
+        results.append(check(scale))
+        print(results[-1])
     return results

@@ -1,73 +1,16 @@
-"""Acceptance gate: every criterion at full scale, one pass/fail line each.
+"""Acceptance gate: every criterion in `verify.ALL_CHECKS` at full scale, within its time bound.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines; the
-same checks back `sumfree verify --suite full`.
+Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
+each; `sumfree verify --suite full` runs the same checks with the same bounds.
 """
+
+import pytest
 
 from sumfree import verify
 
 
-def _run(check):
+@pytest.mark.parametrize("check", verify.ALL_CHECKS, ids=lambda check: check.__name__.removeprefix("check_"))
+def test_criterion(check):
     res = check("full")
-    print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.cid}: "
-          f"{res.name} ({res.elapsed:.1f}s) - {res.detail}")
+    print(res)
     assert res.passed, res.detail
-    return res
-
-
-def test_criterion_01_oracle_equivalence():
-    res = _run(verify.check_oracle_equivalence)
-    assert res.elapsed < 120
-
-
-def test_criterion_02_pinned_partition_values():
-    _run(verify.check_pinned_partition_values)
-
-
-def test_criterion_03_distinct_parts_bound():
-    res = _run(verify.check_distinct_parts_bound)
-    assert res.elapsed < 10
-
-
-def test_criterion_04_count_growth_caps():
-    res = _run(verify.check_count_growth)
-    assert res.elapsed < 600
-
-
-def test_criterion_05_lower_bound_construction():
-    res = _run(verify.check_lower_bound)
-    assert res.elapsed < 60
-
-
-def test_criterion_06_progression_covers():
-    res = _run(verify.check_freiman_exhaustive)
-    assert res.elapsed < 120
-
-
-def test_criterion_07_translate_set_bound():
-    res = _run(verify.check_b_set_bound)
-    assert res.elapsed < 60
-
-
-def test_criterion_08_span_identity():
-    _run(verify.check_span_identity)
-
-
-def test_criterion_09_moments_and_pair_graph():
-    res = _run(verify.check_janson_and_pair_graph)
-    assert res.elapsed < 60
-
-
-def test_criterion_10_restricted_tables():
-    res = _run(verify.check_restricted_tables)
-    assert res.elapsed < 300
-
-
-def test_criterion_11_sampler_uniformity():
-    res = _run(verify.check_sampler_uniformity)
-    assert res.elapsed < 60
-
-
-def test_criterion_12_inequality_sweeps():
-    res = _run(verify.check_inequality_sweeps)
-    assert res.elapsed < 60

@@ -178,10 +178,13 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert not out.lstrip().startswith("{")  # table, not a record
     code, out, _ = run(["count", "--n", "10", "--config", str(cfg), "--format", "records"], capsys)
     assert out.lstrip().startswith("{")  # flag wins
-    for bad in ("colour = red\n", "seed = many\n", "no equals sign\n"):
+    # a value is checked like its flag: format = xml once printed a table and keyed the cache on "xml"
+    cache = tmp_path / "cache"
+    for bad in ("colour = red\n", "seed = many\n", "no equals sign\n", "format = xml\n"):
         cfg.write_text(bad)
-        code, _, err = run(["count", "--n", "10", "--config", str(cfg)], capsys)
-        assert code == 2 and "error" in err
+        code, out, err = run(["count", "--n", "10", "--config", str(cfg), "--cache", str(cache)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1) and "error" in err, (bad, err)
+    assert not cache.exists()
 
 
 READERS = {"--seed": {"sample"}, "--budget": {"count", "enumerate", "strata", "window", "partitions", "restricted",
@@ -366,13 +369,18 @@ def test_verify_small_suite(capsys, monkeypatch):
     assert len(lines) == 12
     assert all(line.startswith("[PASS]") for line in lines)
 
-    def failing(scale):
-        return verify.CheckResult("0", "planted failure", False, f"scale {scale}", 0.0)
-
-    monkeypatch.setattr(verify, "ALL_CHECKS", [failing])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+    verify.criterion("0", "planted failure")(lambda scale: (False, f"scale {scale}"))
     code, out, _ = run(["verify", "--suite", "small"], capsys)
     assert code == 1
     assert out == "[FAIL] criterion  0: planted failure (0.0s) - scale small\n"
+
+    # a check that passes but overruns its time bound fails the gate, as it fails tier-1
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+    verify.criterion("0", "planted slow", seconds=0)(lambda scale: (True, "ok"))
+    code, out, _ = run(["verify", "--suite", "small"], capsys)
+    assert code == 1
+    assert out == "[FAIL] criterion  0: planted slow (0.0s) - ok; over its 0 s bound\n"
 
 
 def test_cli_import_loads_no_process_pool():
