@@ -3,7 +3,8 @@
 Quantities like 2^(Cn/m) * C(ceil(n/2), m) or (e^2 k / l^2)^l overflow any
 fixed-width float long before the interesting parameter range, so every
 bound here lives in the natural-log domain (LogValue).  Comparisons use a
-relative tolerance of 1e-9 on the logs.
+relative tolerance of REL_TOL = 1e-9 on the logs.  The five named bounds
+that theorem_rhs evaluates are declared once each, in BOUNDS.
 
 Also here: the standard binomial-coefficient inequalities
 
@@ -12,11 +13,12 @@ Also here: the standard binomial-coefficient inequalities
     C(a-c, b-d)  <= ((a-c)/a)^(b-d) * (b/(a-b))^d * C(a, b)
 
 for a > b > c >= 0, d <= b; the tail-sum bound
-sum_{j>=1} j^a e^(-bj) <= 2 Gamma(a+1) / b^(a+1); the first and second
-moments mu, Delta of the hypergeometric dependency-graph inequality for a
-family of subsets; and the forbidden-pair graph on the top half of
-{1, ..., n} whose edges are {x, x+s} for s in a fixed low set S, with k
-edges and maximum degree at most 2|S|.
+sum_{j>=1} j^a e^(-bj) <= GAMMA_CAP Gamma(a+1) / b^(a+1) with GAMMA_CAP = 2;
+the first and second moments mu, Delta of the hypergeometric
+dependency-graph inequality for a family of subsets; and the
+forbidden-pair graph on the top half of {1, ..., n} whose edges are
+{x, x+s} for s in a fixed low set S, with k edges and maximum degree at
+most 2|S|.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Optional, Sequence
 from .intset import IntSet, coerce_bits, iter_bits
 
 REL_TOL = 1e-9
+GAMMA_CAP = 2.0  # check_gamma_sum passes a tail sum up to this multiple of Gamma(a+1) / b^(a+1)
 GAMMA_MAX_TERMS = 10**5  # check_gamma_sum adds more than a / b terms, and refuses more than this
 LOG_FLOAT_MAX = log(sys.float_info.max)
 
@@ -58,37 +61,18 @@ class LogValue:
     def __mul__(self, other: "LogValue") -> "LogValue":
         return LogValue(self.log + other.log)
 
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogValue zero")
-        return LogValue(self.log - other.log)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        a, b = self.log, other.log
-        if a == -inf:
-            return other
-        if b == -inf:
-            return self
-        hi, lo = (a, b) if a >= b else (b, a)
-        return LogValue(hi + math.log1p(exp(lo - hi)))
-
-    def __pow__(self, e: float) -> "LogValue":
-        if self.is_zero:
-            return LogValue(0.0) if e == 0 else LogValue(-inf)
-        return LogValue(self.log * e)
-
-    def leq(self, other: "LogValue", rtol: float = REL_TOL) -> bool:
-        """self <= other up to relative tolerance rtol on the logs."""
+    def leq(self, other: "LogValue") -> bool:
+        """self <= other up to relative tolerance REL_TOL on the logs."""
         if self.is_zero:
             return True
         if other.is_zero:
             return False
-        return self.log <= other.log + rtol * max(1.0, abs(self.log), abs(other.log))
+        return self.log <= other.log + REL_TOL * max(1.0, abs(self.log), abs(other.log))
 
-    def close(self, other: "LogValue", rtol: float = REL_TOL) -> bool:
+    def close(self, other: "LogValue") -> bool:
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        return abs(self.log - other.log) <= rtol * max(1.0, abs(self.log), abs(other.log))
+        return abs(self.log - other.log) <= REL_TOL * max(1.0, abs(self.log), abs(other.log))
 
 
 def log_binom(a: int, b: int) -> LogValue:
@@ -148,11 +132,11 @@ class GammaSumCheck:
     tail_sum: float
     gamma_bound: float  # Gamma(a+1) / b^(a+1)
     constant: float  # tail_sum / gamma_bound
-    passed: bool  # tail_sum <= cap * gamma_bound
+    passed: bool  # tail_sum <= GAMMA_CAP * gamma_bound
 
 
-def check_gamma_sum(a: int, b: float, cap: float = 2.0) -> GammaSumCheck:
-    """Sum j^a e^(-bj) to convergence and compare with cap * Gamma(a+1)/b^(a+1).
+def check_gamma_sum(a: int, b: float) -> GammaSumCheck:
+    """Sum j^a e^(-bj) to convergence and compare with GAMMA_CAP * Gamma(a+1)/b^(a+1).
 
     Terms are added until they drop below 1e-15 of the partial sum (and the
     summand is already decreasing, past j = a/b), so a b below
@@ -182,7 +166,7 @@ def check_gamma_sum(a: int, b: float, cap: float = 2.0) -> GammaSumCheck:
         tail_sum=exp(log_total),
         gamma_bound=exp(log_bound),
         constant=exp(log_total - log_bound),
-        passed=log_total <= log(cap) + log_bound,
+        passed=log_total <= log(GAMMA_CAP) + log_bound,
     )
 
 
@@ -230,8 +214,8 @@ def janson_quantities(family: Sequence, ground_size: int, draw_size: int) -> Jan
     if delta > 0:
         terms.append(-(mu * mu) / (2.0 * delta))
     return JansonQuantities(
-        mu=LogValue.of(mu) if mu else LogValue(-inf),
-        delta=LogValue.of(delta) if delta else LogValue(-inf),
+        mu=LogValue.of(mu),
+        delta=LogValue.of(delta),
         bound=LogValue(max(terms)),
     )
 
@@ -294,25 +278,23 @@ def build_pair_graph(n: int, s_values, excluded=()) -> PairGraph:
 
 
 LN2 = log(2.0)
-#: the parameters each named bound needs
-RHS_PARAMS = {
-    "CEthm": ("n", "m", "C"),
-    "S+S": ("k", "ell", "c", "delta"),
-    "S+S2": ("ell", "lam", "delta"),
-    "parts": ("k", "ell"),
-    "conj": ("N", "m", "delta"),
-}
-#: the range of each parameter that a bound takes the log of: (lowest value, whether that value is allowed)
-RHS_RANGES = {
-    "CEthm": {"m": (1, True)},
-    "S+S": {"k": (0, False), "ell": (0, True), "c": (0, False)},
-    "S+S2": {"ell": (0, True), "lam": (0.75, False)},
-    "parts": {"k": (0, True), "ell": (0, True)},
+#: each named bound: its parameters, the range of each one it takes the log of (lowest value, whether that
+#: value is allowed), and its log as a function of the parameters in their order
+BOUNDS = {
+    "CEthm": (("n", "m", "C"), {"m": (1, True)}, lambda n, m, c: c * n / m * LN2 + log_binom((n + 1) // 2, m).log),
+    "S+S": (("k", "ell", "c", "delta"), {"k": (0, False), "ell": (0, True), "c": (0, False)},
+            lambda k, ell, c, delta: delta * 0.0 if ell == 0
+            else delta * ell * LN2 + ell * (log(2 * c * k / 3) + 1 - 2 * log(ell))),
+    "S+S2": (("ell", "lam", "delta"), {"ell": (0, True), "lam": (0.75, False)},
+             lambda ell, lam, delta: delta * ell * LN2 + ell * (log((4 * lam - 3) / 6) + 1)),
+    "parts": (("k", "ell"), {"k": (0, True), "ell": (0, True)},
+              lambda k, ell: 0.0 if ell == 0 else -inf if k == 0 else ell * (2 + log(k) - 2 * log(ell))),
+    "conj": (("N", "m", "delta"), {}, lambda cap_n, m, delta: delta * m * LN2 + log_binom_real(cap_n / 2, m).log),
 }
 
 
 def theorem_rhs(name: str, **params) -> LogValue:
-    """Log of a named closed-form bound.
+    """Log of a named closed-form bound, as declared in BOUNDS.
 
     CEthm : 2^(C n / m) * C(ceil(n/2), m)          params n, m, C
     S+S   : 2^(delta l) * (2 c e k / (3 l^2))^l    params k, ell, c, delta
@@ -320,42 +302,23 @@ def theorem_rhs(name: str, **params) -> LogValue:
     parts : (e^2 k / l^2)^l                        params k, ell
     conj  : 2^(delta m) * C(N/2, m)                params N, m, delta
 
-    A missing parameter, a non-finite float one, or one outside its range
-    in RHS_RANGES (where the formula would take the log of a value <= 0)
+    A missing parameter, a non-finite float one, or one outside the range
+    BOUNDS gives it (where the formula would take the log of a value <= 0)
     raises ValueError naming the parameter and its range.
     """
-    if name not in RHS_PARAMS:
+    if name not in BOUNDS:
         raise ValueError(f"unknown bound name {name!r}")
-    needs = RHS_PARAMS[name]
+    needs, ranges, formula = BOUNDS[name]
     missing = [p for p in needs if params.get(p) is None]
     if missing:
         raise ValueError(f"{name} needs {', '.join(needs)}; missing {', '.join(missing)}")
     for p in needs:
         if isinstance(params[p], float) and not math.isfinite(params[p]):
             raise ValueError(f"{name} needs a finite {p}, not {params[p]}")
-    for p, (low, closed) in RHS_RANGES.get(name, {}).items():
+    for p, (low, closed) in ranges.items():
         if not (params[p] >= low if closed else params[p] > low):
             raise ValueError(f"{name} needs {p} {'>=' if closed else '>'} {low}, not {params[p]}")
-    if name == "CEthm":
-        n, m, c = params["n"], params["m"], params["C"]
-        return LogValue(c * n / m * LN2) * log_binom((n + 1) // 2, m)
-    if name == "S+S":
-        k, ell, c, delta = params["k"], params["ell"], params["c"], params["delta"]
-        if ell == 0:
-            return LogValue(delta * 0.0)
-        return LogValue(delta * ell * LN2 + ell * (log(2 * c * k / 3) + 1 - 2 * log(ell)))
-    if name == "S+S2":
-        ell, lam, delta = params["ell"], params["lam"], params["delta"]
-        return LogValue(delta * ell * LN2 + ell * (log((4 * lam - 3) / 6) + 1))
-    if name == "parts":
-        k, ell = params["k"], params["ell"]
-        if ell == 0:
-            return LogValue(0.0)
-        if k == 0:
-            return LogValue(-inf)
-        return LogValue(ell * (2 + log(k) - 2 * log(ell)))
-    cap_n, m, delta = params["N"], params["m"], params["delta"]  # conj
-    return LogValue(delta * m * LN2) * log_binom_real(cap_n / 2, m)
+    return LogValue(formula(*[params[p] for p in needs]))
 
 
 def empirical_constant(n: int, m: int, exact_count: int) -> Optional[float]:

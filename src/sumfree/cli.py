@@ -5,8 +5,8 @@ arguments, library call and result projection.  Results are emitted as
 JSON-lines records (default), an aligned table, or CSV; big integers are
 decimal strings, exact rationals "p/q" and non-finite floats "inf",
 "-inf" or "nan", so records stay diff-able and valid JSON.
-With --cache DIR a query is fingerprinted over (op, params, format) and a
-hit is replayed byte-identically without running the query.
+With --cache DIR a query is fingerprinted over (op, params, budget, format)
+and a hit is replayed byte-identically without running the query.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad config
 file and an unusable cache directory included), 3 budget exceeded (or the
@@ -255,7 +255,7 @@ COMMANDS = {
         lambda g: {**_pick(g, "edge_count", "max_degree", "edges"), "vertex_count": len(g.vertices)}),
     "bounds": Command(
         "evaluate a named closed-form bound in log domain",
-        (("--name", ("CEthm", "S+S", "S+S2", "parts", "conj"), None, True), ("--n", int), ("--m", int),
+        (("--name", tuple(bounds.BOUNDS), None, True), ("--n", int), ("--m", int),
          ("--bigc", float, None, False, "C for CEthm"), ("--k", int), ("--ell", int), ("--c", float),
          ("--delta", float), ("--lam", float), ("--cap", float, None, False, "N for conj"),
          ("--count", int, None, False, "also compare this count to the bound")),
@@ -339,8 +339,9 @@ def _load_config(path):
     return {key: value for key, value in vars(parser.parse_args(argv)).items() if value is not None}
 
 
-def _cache_path(cache_dir: str, op: str, params: dict, fmt: str) -> str:
-    canon = json.dumps({"schema_version": SCHEMA_VERSION, "op": op, "params": params, "format": fmt}, sort_keys=True)
+def _cache_path(cache_dir: str, op: str, params: dict, budget: Optional[int], fmt: str) -> str:
+    canon = json.dumps({"schema_version": SCHEMA_VERSION, "op": op, "params": params, "budget": budget,
+                        "format": fmt}, sort_keys=True)
     return os.path.join(cache_dir, f"{hashlib.sha256(canon.encode()).hexdigest()}.json")
 
 
@@ -374,7 +375,8 @@ def main(argv=None) -> int:
     try:
         params = _params(command, ns)
         record_params = _jsonable(params)
-        path = ns.cache and _cache_path(ns.cache, ns.command, record_params, ns.format)
+        budget = ns.budget if command.budget else None  # a config file's budget included
+        path = ns.cache and _cache_path(ns.cache, ns.command, record_params, budget, ns.format)
         if path:
             os.makedirs(ns.cache, exist_ok=True)  # an unusable directory exits 2 before the query runs
             if os.path.exists(path):
@@ -382,8 +384,7 @@ def main(argv=None) -> int:
                     sys.stdout.write(fh.read())
                 return 0
         t0 = time.perf_counter()
-        budget = {command.budget: ns.budget} if command.budget and ns.budget is not None else {}
-        result = command.project(command.call(**params, **budget))
+        result = command.project(command.call(**params, **({} if budget is None else {command.budget: budget})))
         elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
         record = {"schema_version": SCHEMA_VERSION, "op": ns.command, "params": record_params,
                   "result": _jsonable(result), "elapsed_ms": elapsed_ms, "version": __version__,

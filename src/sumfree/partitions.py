@@ -138,10 +138,11 @@ def count_restricted(
     """Exact number of ell-element sets summing to k with |S+S| <= sumset_cap.
 
     Parts are additionally bounded by universe_cap when given.  Without any
-    constraint the count equals p_star(k, ell).
+    constraint the count equals p_star(k, ell), computed like the candidate
+    count (see _candidates).
     """
     if sumset_cap is None and universe_cap is None:
-        return p_star(k, ell)
+        return _candidates(k, ell, budget)
     profile = sumset_size_profile(k, ell, universe_cap, budget)
     return sum(c for size, c in profile.items() if sumset_cap is None or size <= sumset_cap)
 
@@ -207,8 +208,17 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
     return found
 
 
+def _candidates(k: int, ell: int, budget: int) -> int:
+    """p*(k, ell) on a table of up to max(budget, DEFAULT_BUDGET) cells.
+
+    A budget above the default admits a larger table; one below it still
+    sizes the enumeration, so its refusal reports the candidate estimate.
+    """
+    return p_star(k, ell, max(budget, DEFAULT_BUDGET))
+
+
 def _check_budget(k: int, ell: int, budget: int) -> None:
-    candidates = p_star(k, ell)
+    candidates = _candidates(k, ell, budget)
     if candidates > budget:
         raise BudgetError(
             f"instance too large for exact enumeration (about {candidates} candidates)",

