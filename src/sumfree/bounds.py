@@ -281,7 +281,7 @@ LN2 = log(2.0)
 #: each named bound: its parameters, the range of each one it takes the log of (lowest value, whether that
 #: value is allowed), and its log as a function of the parameters in their order
 BOUNDS = {
-    "CEthm": (("n", "m", "C"), {"m": (1, True)}, lambda n, m, c: c * n / m * LN2 + log_binom((n + 1) // 2, m).log),
+    "CEthm": (("n", "m", "C"), {"n": (0, True), "m": (1, True)}, lambda n, m, c: c * n / m * LN2 + log_binom((n + 1) // 2, m).log),
     "S+S": (("k", "ell", "c", "delta"), {"k": (0, False), "ell": (0, True), "c": (0, False)},
             lambda k, ell, c, delta: delta * 0.0 if ell == 0
             else delta * ell * LN2 + ell * (log(2 * c * k / 3) + 1 - 2 * log(ell))),

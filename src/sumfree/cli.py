@@ -5,20 +5,23 @@ arguments, library call and result projection.  Results are emitted as
 JSON-lines records (default), an aligned table, or CSV; big integers are
 decimal strings, exact rationals "p/q" and non-finite floats "inf",
 "-inf" or "nan", so records stay diff-able and valid JSON.
-With --cache DIR a query is fingerprinted over (op, params, budget, format)
-and a hit is replayed byte-identically without running the query.
+With --cache DIR a query's record is stored under a fingerprint of (op,
+params, budget) and a hit renders the stored record in the --format asked,
+without running the query; a repeat in the same format is byte-identical.
+Entries written by versions that keyed on the format too are never read.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (a flag the
-query does not read, a missing @FILE and an unusable cache directory
-included), 3 budget exceeded (or the interpreter's stack or memory, on a
-query no budget foresaw).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a value out
+of range, the subset oracle's 24-element cap, a flag the query does not
+read, a missing @FILE and an unusable cache directory included), 3 budget
+exceeded (or the interpreter's stack or memory, on a query no budget
+foresaw).
 
 A subcommand takes only the flags it reads: every one but verify takes
 --format and --cache, the ones whose library call has a budget take
 --budget, and sample takes --seed.  An @FILE argument after the subcommand
-stands for the lines of FILE, one argument per line (e.g. --budget=1000000),
-so a file of presets is parsed exactly like the flags it holds; a flag after
-it wins.
+stands for the lines of FILE, one argument per line (e.g. --budget=1000000;
+blank lines are skipped), so a file of presets is parsed exactly like the
+flags it holds; a flag after it wins.
 """
 
 from __future__ import annotations
@@ -26,14 +29,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -75,25 +77,11 @@ def _jsonable(obj):
         return str(obj) if abs(obj) >= 2**53 else obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else str(obj)  # "inf", "-inf" or "nan", never a non-JSON token
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, LogValue):
-        return {"log": _jsonable(obj.log)}
-    if isinstance(obj, IntSet):
-        return list(obj)
-    if is_dataclass(obj):
-        return {k: _jsonable(v) for k, v in asdict(obj).items()}
     if isinstance(obj, dict):
-        return {_key(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, IntSet)):
         return [_jsonable(v) for v in obj]
-    return str(obj)
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return ",".join(str(part) for part in k)
-    return str(k)
+    return str(obj)  # a Fraction as "p/q"
 
 
 def _emit(record: dict, fmt: str, out):
@@ -119,7 +107,10 @@ def _flat(v):
 
 
 class Command(NamedTuple):
-    """A subcommand; args are (flag, type[, default[, required[, help]]]), type bool a switch, a tuple choices."""
+    """A subcommand; args are (flag, type[, default[, required[, help[, dest]]]]), type bool a switch, a tuple choices.
+
+    A switch stores True when given, or False when its default is True.
+    """
 
     help: str
     args: tuple
@@ -199,7 +190,7 @@ def _inequalities(kind, a, b, c=None, d=None):
 VALUES = "e.g. 1,2,4 or 3:9"
 N, M, K = ("--n", int, None, True), ("--m", int, None, True), ("--k", int, None, True)
 S = ("--s", _parse_values, None, True, VALUES)
-DISTINCT = ("--distinct-only", bool, False, False, "do not count x + x = z")
+DISTINCT = ("--distinct-only", bool, True, False, "do not count x + x = z", "allow_equal")
 
 COMMON = (("--format", ("records", "table", "csv"), "records"),
           ("--cache", str, None, False, "cache directory for result replay"))
@@ -287,14 +278,13 @@ COMMANDS = {
     "verify": Command("run the acceptance checks", (("--suite", ("small", "full"), "full"),)),
 }
 
-RENAMES = {"distinct_only": "allow_equal"}
-
 
 def _add_arguments(parser, specs):
     for spec in specs:
-        flag, kind, default, required, help_text = spec + (None, False, None)[len(spec) - 2 :]
-        how = {"action": "store_true"} if kind is bool else {"choices" if isinstance(kind, tuple) else "type": kind}
-        parser.add_argument(flag, default=default, required=required, help=help_text, **how)
+        flag, kind, default, required, help_text, dest = spec + (None, False, None, None)[len(spec) - 2 :]
+        how = ({"action": "store_false" if default else "store_true"} if kind is bool
+               else {"choices" if isinstance(kind, tuple) else "type": kind})
+        parser.add_argument(flag, default=default, required=required, help=help_text, dest=dest, **how)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,6 +292,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def convert_arg_line_to_args(self, arg_line):
+        return [arg_line] if arg_line.strip() else []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,22 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params(command: Command, ns) -> dict:
-    """The query's params: every argument by its dest, with RENAMES, then the entry's rewrite.
+    """The query's params: every argument by its dest but the CLI's own, then the entry's rewrite.
 
     A flag that the query's mode drops (Command.drops) is a usage error naming it, not ignored.
     """
     if unread := ["--" + k.replace("_", "-") for k in command.drops(vars(ns)) if getattr(ns, k) is not None]:
         raise ValueError(f"{ns.command} does not read {', '.join(unread)} with the flags given")
-    names = [spec[0][2:].replace("-", "_") for spec in command.args]
-    params = {RENAMES.get(name, name): getattr(ns, name) for name in names}
-    if "allow_equal" in params:
-        params["allow_equal"] = not params["allow_equal"]
+    params = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "cache", "budget")}
     return command.params(params) if command.params else params
 
 
-def _cache_path(cache_dir: str, op: str, params: dict, budget: Optional[int], fmt: str) -> str:
-    canon = json.dumps({"schema_version": SCHEMA_VERSION, "op": op, "params": params, "budget": budget,
-                        "format": fmt}, sort_keys=True)
+def _cache_path(cache_dir: str, op: str, params: dict, budget: Optional[int]) -> str:
+    canon = json.dumps({"schema_version": SCHEMA_VERSION, "op": op, "params": params, "budget": budget}, sort_keys=True)
     return os.path.join(cache_dir, f"{hashlib.sha256(canon.encode()).hexdigest()}.json")
 
 
@@ -363,24 +352,22 @@ def main(argv=None) -> int:
         params = _params(command, ns)
         record_params = _jsonable(params)
         budget = ns.budget if command.budget else None
-        path = ns.cache and _cache_path(ns.cache, ns.command, record_params, budget, ns.format)
+        path = ns.cache and _cache_path(ns.cache, ns.command, record_params, budget)
         if path:
             os.makedirs(ns.cache, exist_ok=True)  # an unusable directory exits 2 before the query runs
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    sys.stdout.write(fh.read())
-                return 0
-        t0 = time.perf_counter()
-        result = command.project(command.call(**params, **({} if budget is None else {command.budget: budget})))
-        elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
-        record = {"schema_version": SCHEMA_VERSION, "op": ns.command, "params": record_params,
-                  "result": _jsonable(result), "elapsed_ms": elapsed_ms, "version": __version__,
-                  "timestamp": datetime.now(timezone.utc).isoformat()}
-        out = io.StringIO() if path else sys.stdout
-        _emit(record, ns.format, out)
-        if path:
-            _cache_write(path, out.getvalue())
-            sys.stdout.write(out.getvalue())
+        if path and os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                record = json.load(fh)
+        else:
+            t0 = time.perf_counter()
+            result = command.project(command.call(**params, **({} if budget is None else {command.budget: budget})))
+            elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
+            record = {"schema_version": SCHEMA_VERSION, "op": ns.command, "params": record_params,
+                      "result": _jsonable(result), "elapsed_ms": elapsed_ms, "version": __version__,
+                      "timestamp": datetime.now(timezone.utc).isoformat()}
+            if path:
+                _cache_write(path, json.dumps(record, sort_keys=True, allow_nan=False))
+        _emit(record, ns.format, sys.stdout)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3

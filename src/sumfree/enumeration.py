@@ -119,7 +119,8 @@ def count_oracle(
 ) -> CountResult:
     """Count by inspecting every subset of the universe (exact ground truth).
 
-    The universe may hold at most 24 elements.  Each relation x + y = z
+    The universe may hold at most 24 elements (a larger one is a
+    ValueError, which no budget lifts).  Each relation x + y = z
     among universe elements is one mask of its bits, and a subset is not
     sum-free when it contains all of some relation's bits.  The low
     log2(ORACLE_BLOCK) bits of a subset mask are its offset in a block and
@@ -142,10 +143,7 @@ def count_oracle(
     elements = [v for v in range(1, n + 1) if (ubits >> v) & 1]
     u = len(elements)
     if u > ORACLE_MAX_UNIVERSE:
-        raise BudgetError(
-            f"universe too large for the subset oracle ({u} > {ORACLE_MAX_UNIVERSE})",
-            estimate=2**u,
-        )
+        raise ValueError(f"universe too large for the subset oracle ({u} > {ORACLE_MAX_UNIVERSE})")
     low = min(ORACLE_BLOCK.bit_length() - 1, u)
     has, by_pop = [], [1]  # over the offsets of a block: has[b] those with bit b set, by_pop[s] those with s bits set
     for b in range(low):  # doubling: offsets o + 2^b repeat those at o, with bit b set

@@ -126,14 +126,13 @@ class TrendRow:
 
 
 def _weighted_median(weights: dict, axis: int) -> Fraction:
-    """Median of coordinate `axis` of the keys of a key -> weight table (smallest value reaching half mass)."""
+    """Median of coordinate `axis` of a non-empty key -> weight table's keys (smallest value reaching half mass)."""
     total = sum(weights.values())
     acc = 0
     for key, w in sorted(weights.items(), key=lambda item: item[0][axis]):
         acc += w
         if 2 * acc >= total:
             return Fraction(key[axis])
-    raise ValueError("empty distribution")
 
 
 def parse_m_rule(rule) -> Callable[[int], int]:
@@ -165,7 +164,8 @@ def structure_trend(
 
     Each row's medians are exact, read from the stratified count of the
     sum-free m-sets, which refuses (BudgetError) past node_budget as
-    count_sum_free does.
+    count_sum_free does; a row with no sum-free m-set is a ValueError
+    naming its n and m.
     """
     if any(n < 1 for n in n_list):
         raise ValueError("every n must be >= 1")
@@ -174,6 +174,8 @@ def structure_trend(
     for n in n_list:
         m = rule(n)
         weights = stratified_counts(n, m, allow_equal, node_budget).joint
+        if not weights:
+            raise ValueError(f"no sum-free {m}-subset of {{1, ..., {n}}}")
         ell_med = _weighted_median(weights, 0)
         k_med = _weighted_median(weights, 1)
         ell_scaled = float(ell_med) * m / n

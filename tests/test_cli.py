@@ -175,13 +175,21 @@ def test_cache_hit_runs_no_query(tmp_path, capsys, monkeypatch):
         assert (code, third) == (3, "") and "budget" in err, more
 
 
-def test_cache_key_includes_format(tmp_path, capsys):
+def test_cache_keeps_one_record_for_every_format(tmp_path, capsys, monkeypatch):
+    # the cache held one rendering per format, keyed on the format too
     args = ["partitions", "--k", "10", "--cache", str(tmp_path)]
     _, csv_out, _ = run(args + ["--format", "csv"], capsys)
-    _, records_out, _ = run(args + ["--format", "records"], capsys)
     assert csv_out.splitlines() == ["p", "42"]
-    assert json.loads(records_out)["result"] == {"p": 42}
-    assert len(list(tmp_path.glob("*.json"))) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("library called on a cache hit")
+
+    monkeypatch.setattr(cli.partitions, "p", refuse)
+    code, records_out, _ = run(args + ["--format", "records"], capsys)
+    assert code == 0 and json.loads(records_out)["result"] == {"p": 42}
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    code, table_out, _ = run(args + ["--format", "table"], capsys)
+    assert (code, table_out) == (0, "p\n42\n")
 
 
 def test_args_file_presets_and_flag_override(tmp_path, capsys):
@@ -202,6 +210,17 @@ def test_args_file_presets_and_flag_override(tmp_path, capsys):
         code, out, err = run(["count", "--n", "10", f"@{args_file}", "--cache", str(cache)], capsys)
         assert (code, out, len(err.splitlines())) == (2, "", 1) and "error" in err, (bad, err)
     assert not cache.exists()
+
+
+def test_args_file_skips_blank_lines(tmp_path, capsys):
+    # a blank line was an empty argument: exit 2 with "unrecognized arguments: " naming nothing
+    args_file = tmp_path / "budget.args"
+    args_file.write_text("--budget=10\n\n  \n")
+    code, out, err = run(["count", "--n", "20", f"@{args_file}"], capsys)
+    assert (code, out, err) == (3, "", "budget error: search node budget exceeded (10)\n"), err
+    args_file.write_text("--budget=10\n# a comment\n")  # no comment syntax: a # line is an argument
+    code, out, err = run(["count", "--n", "20", f"@{args_file}"], capsys)
+    assert (code, out, err) == (2, "", "sumfree: error: unrecognized arguments: # a comment\n"), err
 
 
 READERS = {"--seed": {"sample"}, "--budget": {"count", "enumerate", "strata", "window", "partitions", "restricted",
@@ -244,8 +263,9 @@ def _refuses_unread(argv, unread, capsys):
 def test_oracle_refuses_a_budget(capsys):
     # the oracle ignored --budget: exit 0 and the oracle's profile
     _refuses_unread("count --n 20 --oracle --budget 1", "--budget", capsys)
-    code, out, err = run("count --n 25 --oracle".split(), capsys)  # its own refusal stays
-    assert (code, out, err) == (3, "", "budget error: universe too large for the subset oracle (25 > 24)\n"), err
+    # its own cap, which no budget lifts, is a value out of range (it was a budget error, exit 3)
+    code, out, err = run("count --n 25 --oracle".split(), capsys)
+    assert (code, out, err) == (2, "", "error: universe too large for the subset oracle (25 > 24)\n"), err
 
 
 def test_ratio_table_refuses_the_caps(capsys):
@@ -367,6 +387,12 @@ def test_bounds_name_the_parameter_out_of_range(capsys):
     assert (code, out, err) == (2, "", "error: parts needs k >= 0, not -1\n")
 
 
+def test_cethm_names_a_negative_n(capsys):
+    # log_binom refused it first, naming its own parameter: "error: a must be >= 0"
+    code, out, err = run("bounds --name CEthm --n -10 --m 2 --bigc 1".split(), capsys)
+    assert (code, out, err) == (2, "", "error: CEthm needs n >= 0, not -10\n")
+
+
 def test_gamma_b_it_cannot_sum_exits_2(capsys):
     # each of these looped forever: no term fell below 1e-15 of the sum
     for b in ("nan", "inf", "1e-300"):
@@ -396,6 +422,14 @@ def test_trend_budget_reaches_strata_and_samples(capsys):
     for n_list in ("20", "30"):  # both read the strata, on either side of the old sampling limit n = 26
         code, out, err = run(["trend", "--n-list", n_list, "--budget", "1"], capsys)
         assert (code, out, err) == (3, "", "budget error: search node budget exceeded (1)\n"), n_list
+
+
+def test_trend_names_a_row_with_no_sets(capsys):
+    # each exited 2 with "error: empty distribution", naming neither n nor m
+    for argv, row in (("--n-list 12 --m-rule fixed:100", "100-subset of {1, ..., 12}"),
+                      ("--n-list 10,12 --m-rule div:1", "10-subset of {1, ..., 10}")):
+        code, out, err = run(["trend", *argv.split()], capsys)
+        assert (code, out, err) == (2, "", f"error: no sum-free {row}\n"), argv
 
 
 def test_trend_csv(capsys):

@@ -38,7 +38,7 @@ def test_oracle_examples():
 
 
 def test_oracle_rejects_large_universe():
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError, match=r"universe too large for the subset oracle \(25 > 24\)"):
         count_oracle(25)
 
 
