@@ -23,11 +23,9 @@ from .core import (
     ALLOW_EQUAL_DEFAULT,
     Statistics,
     StabilityProfile,
-    delta2,
     extremal_family,
     is_sum_free,
     odd_numbers,
-    schur_edge_count,
     schur_edges,
     stability_profile,
     statistics_of,
@@ -101,7 +99,6 @@ __all__ = [
     "count_restricted",
     "count_small_sumset_sets",
     "count_sum_free",
-    "delta2",
     "doubling",
     "draw_sum_free",
     "empirical_constant",
@@ -116,7 +113,6 @@ __all__ = [
     "p",
     "p_star",
     "sample_uniform",
-    "schur_edge_count",
     "schur_edges",
     "span",
     "stability_profile",

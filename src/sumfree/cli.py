@@ -8,7 +8,8 @@ decimal strings, exact rationals "p/q" and non-finite floats "inf",
 With --cache DIR a query's record is stored under a fingerprint of (op,
 params, budget) and a hit renders the stored record in the --format asked,
 without running the query; a repeat in the same format is byte-identical.
-Entries written by versions that keyed on the format too are never read.
+Entries written by versions that keyed on the format too are never read,
+and an entry that is not the query's record is a miss and is rewritten.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a value out
 of range, the subset oracle's 24-element cap, a flag the query does not
@@ -326,6 +327,19 @@ def _cache_path(cache_dir: str, op: str, params: dict, budget: Optional[int]) ->
     return os.path.join(cache_dir, f"{hashlib.sha256(canon.encode()).hexdigest()}.json")
 
 
+def _cache_read(path: str, op: str, params) -> Optional[dict]:
+    """The stored record of this query, or None: no entry, or one that is not its record (the query reruns)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+    except (FileNotFoundError, ValueError, RecursionError):  # not JSON, not UTF-8, or nested past the stack
+        return None
+    query = {"schema_version": SCHEMA_VERSION, "op": op, "params": params}
+    if isinstance(record, dict) and "result" in record and all(record.get(k) == v for k, v in query.items()):
+        return record
+    return None
+
+
 def _cache_write(path: str, payload: str):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -355,10 +369,8 @@ def main(argv=None) -> int:
         path = ns.cache and _cache_path(ns.cache, ns.command, record_params, budget)
         if path:
             os.makedirs(ns.cache, exist_ok=True)  # an unusable directory exits 2 before the query runs
-        if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
-        else:
+        record = path and _cache_read(path, ns.command, record_params)
+        if not record:
             t0 = time.perf_counter()
             result = command.project(command.call(**params, **({} if budget is None else {command.budget: budget})))
             elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)

@@ -62,26 +62,6 @@ def schur_edges(n: int) -> Iterator[tuple[int, int, int]]:
             yield (x, y, x + y)
 
 
-def schur_edge_count(n: int) -> int:
-    """Number of triples x < y < z = x + y <= n, i.e. floor((n-1)^2 / 4)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (n - 1) ** 2 // 4
-
-
-def delta2(n: int) -> int:
-    """Largest number of triple-hypergraph edges through one vertex pair.
-
-    An edge containing the pair {x, y} (x < y) has third element x + y or
-    y - x, so the count per pair is [x + y <= n] + [y != 2x].  No pair
-    exists for n <= 2; for n = 3 every pair lies in one edge; from n = 4
-    on the pair {1, 3} lies in two ({1, 3, 4} and {1, 2, 3}).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 0 if n <= 2 else 1 if n == 3 else 2
-
-
 @dataclass(frozen=True)
 class Statistics:
     """Per-set record of the low-part statistics of I inside {1, ..., n}.

@@ -32,8 +32,8 @@ def iter_bits(bits: int) -> Iterator[int]:
 class IntSet:
     """Finite set of integers from {1, ..., universe_bound}.
 
-    Iteration is ascending; membership, cardinality and min/max are O(1)-ish
-    bitmap operations.  Instances are immutable and hashable.
+    Iteration is ascending; membership and cardinality are O(1)-ish bitmap
+    operations.  Instances are immutable and hashable.
     """
 
     __slots__ = ("universe_bound", "_bits")
@@ -81,14 +81,9 @@ class IntSet:
     def __len__(self) -> int:
         return self._bits.bit_count()
 
-    def __bool__(self) -> bool:
-        return self._bits != 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntSet):
             return self._bits == other._bits
-        if isinstance(other, (set, frozenset)):
-            return set(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -96,19 +91,6 @@ class IntSet:
 
     def __repr__(self) -> str:
         return f"IntSet({self.universe_bound}, {{{', '.join(map(str, self))}}})"
-
-    def min(self) -> int:
-        if not self._bits:
-            raise ValueError("min of empty set")
-        return (self._bits & -self._bits).bit_length() - 1
-
-    def max(self) -> int:
-        if not self._bits:
-            raise ValueError("max of empty set")
-        return self._bits.bit_length() - 1
-
-    def to_set(self) -> frozenset:
-        return frozenset(self)
 
 
 def coerce_bits(values) -> int:

@@ -14,8 +14,9 @@ sumset".  No closed form is known, so they enumerate the candidate sets
 down a descending-largest-part tree with sum/size pruning and filter by
 the exact |S+S| of each candidate.  Enumeration is refused (BudgetError)
 when the candidate count exceeds the configured budget, or, for
-count_small_sumset_sets, once its pruned search visits more nodes than
-the budget; results are exact integers, never truncated.
+count_small_sumset_sets, once its pruned search tests more candidates
+against the cap than the budget; results are exact integers, never
+truncated.
 """
 
 from __future__ import annotations
@@ -154,15 +155,18 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
     Searches ascending with an incremental sumset bitmap; a branch dies as
     soon as the partial sumset already exceeds the cap (subsets only grow
     their sumsets).  The nodes of that pruned tree are the subsets S with
-    |S+S| <= cap that still fit m - |S| larger elements, the empty set
-    included.  Once more than `budget` of them are visited it refuses,
-    with (sets found, nodes visited) as partial.  Every candidate past
-    2 max(S) - min(S) adds the same number of sums, so those candidates all
-    fit or none does: the search stops before them when none does and
-    counts the m-sets among them in closed form, so no scan outruns the
-    budget, however large n is.  The search recurses once per element, so
-    an m <= n above the recursion limit less STACK_HEADROOM refuses before
-    searching, with (0, 0) as partial.
+    |S+S| <= cap and room for m - |S| larger elements; at each node below
+    size m every candidate next element is tested against the cap.  Every
+    candidate past 2 max(S) - min(S) adds the same number of sums, so those
+    candidates all fit or none does: the search stops before them when none
+    does and counts the m-sets among them in closed form.  The budget
+    bounds the work: one unit for the root (the empty set), one per
+    candidate tested and one per m-set counted in closed form, charged at
+    each node before its candidates are scanned.  Past it the search
+    refuses, with (sets found, units spent) as partial, so no scan outruns
+    the budget, however large n is.  The search recurses once per element,
+    so an m <= n above the recursion limit less STACK_HEADROOM refuses
+    before searching, with (0, 0) as partial.
     """
     if n < 1 or m < 0 or cap < 0:
         raise ValueError("need n >= 1, m >= 0, cap >= 0")
@@ -171,15 +175,13 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
         raise BudgetError(
             f"search depth {m} exceeds the interpreter's recursion limit ({limit})", estimate=budget, partial=(0, 0)
         )
-    found, nodes = int(m == 0), 1  # the root is the empty set
+    found, work = int(m == 0), 1  # the root
 
-    def check() -> None:
-        if nodes > budget:
-            raise BudgetError(f"search node budget exceeded ({budget})", estimate=budget, partial=(found, nodes))
+    def refuse() -> None:
+        raise BudgetError(f"search budget exceeded ({budget} candidates)", estimate=budget, partial=(found, work))
 
     def rec(start: int, picked: int, bits: int, ss: int) -> None:
-        nonlocal found, nodes
-        check()
+        nonlocal found, work
         stop = n - (m - picked) + 2
         kept = 0
         # each v > 2 max(S) - min(S) adds |S| + 1 sums above max(S + S), so all of those v fit or none does
@@ -189,23 +191,25 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
                 stop = uniform
             elif picked == m - 1:
                 kept, stop = stop - uniform, uniform
+        work += kept + stop - start  # stop > start: an element fits below stop, and uniform > start
+        if work > budget:
+            refuse()
         if picked == m - 1:  # the children are the m-sets: count them without descending
             for v in range(start, stop):
                 if (ss | (bits | 1 << v) << v).bit_count() <= cap:
                     kept += 1
             found += kept
-            nodes += kept
             return
         for v in range(start, stop):
             nb = bits | (1 << v)
             nss = ss | (nb << v)
             if nss.bit_count() <= cap:
-                nodes += 1
                 rec(v + 1, picked + 1, nb, nss)
 
-    if m:
+    if work > budget:
+        refuse()
+    if 0 < m <= n:
         rec(1, 0, 0, 0)
-    check()
     return found
 
 

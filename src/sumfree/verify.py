@@ -404,7 +404,7 @@ def chi2_quantile(p: float, df: int) -> float:
 def check_sampler_uniformity(scale: str = "full") -> tuple[bool, str]:
     """11. Chi-square of 10^4 samples vs the exact support, under 0.999 quantile."""
     seeds, draws, needed = (10, 10_000, 9) if scale == "full" else (3, 3_000, 2)
-    support = [s.to_set() for s in enumerate_sum_free(12, 3)]
+    support = [frozenset(s) for s in enumerate_sum_free(12, 3)]
     k = len(support)
     threshold = chi2_quantile(0.999, k - 1)
     ok = 0

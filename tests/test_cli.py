@@ -192,6 +192,20 @@ def test_cache_keeps_one_record_for_every_format(tmp_path, capsys, monkeypatch):
     assert (code, table_out) == (0, "p\n42\n")
 
 
+def test_cache_entry_that_is_not_the_query_record_is_a_miss(tmp_path, capsys):
+    # a list raised a TypeError, an empty file exited 2 naming neither file nor cache, and a dict was printed as the record
+    args = ["partitions", "--k", "10", "--cache", str(tmp_path)]
+    run(args, capsys)
+    entry = next(tmp_path.glob("*.json"))
+    for bad in (b"[]", b"", b'{"result": 5}', b"\xff\xfe", b"[" * 100_000):
+        entry.write_bytes(bad)
+        code, out, err = run(args, capsys)
+        assert (code, err) == (0, "") and json.loads(out)["result"] == {"p": 42}, bad
+        assert json.loads(entry.read_text()) == json.loads(out), bad  # rewritten with the query's record
+        code, again, _ = run(args, capsys)
+        assert (code, again) == (0, out), bad  # and replayed from there
+
+
 def test_args_file_presets_and_flag_override(tmp_path, capsys):
     # an @FILE argument stands for its lines, one argument each, parsed like the flags they spell
     args_file = tmp_path / "presets.args"

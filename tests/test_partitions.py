@@ -190,27 +190,44 @@ def test_count_small_sumset_sets_against_combinations():
         assert count_small_sumset_sets(n, m, cap) == expected
 
 
-def pruned_tree_nodes(n, m, cap):
-    """Sets S with |S+S| <= cap and room for m - |S| larger elements in {1..n}, the empty set included."""
-    return sum(
-        1
-        for size in range(m + 1)
-        for s in combinations(range(1, n + 1), size)
-        if not s or (s[-1] <= n - (m - size) and len(sumset(s)) <= cap)
-    )
+def pruned_search_work(n, m, cap):
+    """One for the root, plus the candidates tested and the m-sets counted in closed form at each node.
+
+    A node is a set S with |S| < m, |S+S| <= cap and room for m - |S| larger elements, the empty set
+    included; its candidates are max(S) < v <= n - (m - |S|) + 1.  Those past u = 2 max(S) - min(S)
+    all fit the cap or none does; when none does, only the ones up to u are tested.
+    """
+    work = 1
+    for size in range(m):
+        for s in combinations(range(1, n + 1), size):
+            lo, hi = (s[-1] + 1 if s else 1), n - (m - size) + 1
+            if s and (s[-1] >= hi or len(sumset(s)) > cap):
+                continue
+            u = 2 * s[-1] - s[0] if s else 1
+            if u < hi and len(sumset(s + (u + 1,))) > cap:
+                hi = u
+            work += max(0, hi - lo + 1)
+    return work
 
 
 def test_count_small_sumset_sets_budgets_visited_nodes():
-    # C(20, 6) = 38,760 candidates, but the pruned search visits 8,207 nodes
+    # the budget counted only the nodes, the candidates that fit the cap: 8,207 of the 30,851 units here
     expected = sum(1 for s in combinations(range(1, 21), 6) if len(sumset(s)) <= 13)
-    assert count_small_sumset_sets(20, 6, 13, budget=10_000) == expected == 245
-    for n, m, cap in ((20, 6, 13), (8, 3, 6), (9, 4, 9), (7, 0, 0), (6, 1, 2)):
-        nodes = pruned_tree_nodes(n, m, cap)
-        count = count_small_sumset_sets(n, m, cap, budget=nodes)
+    assert count_small_sumset_sets(20, 6, 13, budget=40_000) == expected == 245
+    for n, m, cap in ((20, 6, 13), (8, 3, 6), (9, 4, 9), (7, 0, 0), (6, 1, 2), (12, 2, 0), (30, 3, 6)):
+        work = pruned_search_work(n, m, cap)
+        count = count_small_sumset_sets(n, m, cap, budget=work)
         with pytest.raises(BudgetError) as err:
-            count_small_sumset_sets(n, m, cap, budget=nodes - 1)
-        found, visited = err.value.partial
-        assert err.value.estimate == nodes - 1 and visited >= nodes and found <= count, (n, m, cap)
+            count_small_sumset_sets(n, m, cap, budget=work - 1)
+        found, spent = err.value.partial
+        assert err.value.estimate == work - 1 and spent >= work and found <= count, (n, m, cap)
+
+
+def test_small_sumset_budget_counts_the_candidates_that_miss_the_cap():
+    # only the candidates that fit the cap were counted: this returned 0 after testing about 4.5 million
+    with pytest.raises(BudgetError) as err:
+        count_small_sumset_sets(300, 3, 3, budget=10**5)
+    assert err.value.partial[1] <= 10**5 + 300
 
 
 def test_small_sumset_search_deeper_than_the_stack_refuses_before_searching():

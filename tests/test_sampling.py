@@ -84,7 +84,7 @@ def test_chi2_quantile_matches_reference_values():
 
 
 def test_chi_square_uniformity_quick():
-    support = [s.to_set() for s in enumerate_sum_free(12, 3)]
+    support = [frozenset(s) for s in enumerate_sum_free(12, 3)]
     threshold = chi2_quantile(0.999, len(support) - 1)
     for seed in (0, 1):
         counts = Counter()
