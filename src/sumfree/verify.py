@@ -47,7 +47,7 @@ from .bounds import (
 )
 from .enumeration import count_in_window, count_oracle, count_sum_free, enumerate_sum_free
 from .intset import bits_of
-from .partitions import DEFAULT_BUDGET, count_restricted, p, p_star, sumset_size_profile
+from .partitions import DEFAULT_BUDGET, p, p_star, sumset_size_profile
 from .sampling import draw_sum_free
 from .sumsets import b_set, freiman_cover, span, sumset, sumsetbits
 
@@ -305,6 +305,28 @@ def check_janson_and_pair_graph(scale: str = "full") -> tuple[bool, str]:
     return not problems, f"problems: {problems[:3]}"
 
 
+def _restricted_recount(k: int, ell: int, cap: int) -> int:
+    """Independent recount of the ell-element sets of distinct positive parts summing to k with |S+S| <= cap.
+
+    An ascending search over the parts, bounded by the sum still left, that
+    keeps S+S as a bitmap grown by each new part x (x plus every part so
+    far, and 2x) and prunes a branch once it passes the cap.
+    """
+    def rec(left: int, wanted: int, low: int, bits: int, ss: int) -> int:
+        if not wanted:
+            return int(left == 0)
+        found = 0
+        x = low
+        while wanted * x + wanted * (wanted - 1) // 2 <= left:  # x and wanted - 1 larger parts fit in what is left
+            grown = ss | (bits | 1 << x) << x
+            if grown.bit_count() <= cap:
+                found += rec(left - x, wanted - 1, x + 1, bits | 1 << x, grown)
+            x += 1
+        return found
+
+    return rec(k, ell, 1, 0, 0)
+
+
 def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAULT_BUDGET):
     """Rows (k, ell, family, parameter, cap, count, rhs_log, log-ratio or None).
 
@@ -360,7 +382,7 @@ def check_restricted_tables(scale: str = "full") -> tuple[bool, str]:
                 problems.append((k, ell, family, param, count))
     spot = random.Random(5).sample([r for r in rows if r[5] > 0], 40)
     for k, ell, family, param, cap, count, _rhs, _ratio in spot:
-        if count_restricted(k, ell, sumset_cap=cap) != count:
+        if _restricted_recount(k, ell, cap) != count:
             problems.append(("spot", k, ell, cap))
     detail = (
         f"{len(rows)} table rows, {asserted} asserted cells; "

@@ -1,5 +1,6 @@
 """Sampler by unranking on the count memo: rank order, refusals, determinism, uniformity, trend tables."""
 
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -68,6 +69,40 @@ def test_histogram_mass_and_quantiles():
     assert rep.ell_quantiles[0] <= rep.ell_quantiles[2] <= rep.ell_quantiles[-1]
 
 
+@pytest.mark.parametrize("count", (1, 2, 4, 7, 8, 500))
+def test_quantiles_are_the_draws_at_their_ranks(count):
+    # the oracle: the report's histogram expanded into its sorted ells and ks, level q at rank round(q * (count - 1))
+    rep = sample_uniform(16, 5, count, seed=count)
+    ells = sorted(ell for (ell, _k, _odd), c in rep.histogram.items() for _ in range(c))
+    ks = sorted(k for (_ell, k, _odd), c in rep.histogram.items() for _ in range(c))
+    levels = (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert rep.ell_quantiles == tuple(ells[round(q * (count - 1))] for q in levels)
+    assert rep.k_quantiles == tuple(ks[round(q * (count - 1))] for q in levels)
+    assert sample_uniform(16, 5, 0, seed=0).ell_quantiles == ()
+
+
+def test_report_memory_does_not_grow_with_the_count():
+    sample_uniform(8, 2, 10, seed=1)  # imports and first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        sample_uniform(8, 2, 10**4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_draws_are_budgeted_before_the_count(capsys):
+    # each draw walks m + 1 nodes; the count of (12, 3) walks 210, well under the draws' 1,000
+    assert count_sum_free(12, 3).nodes < 250 * 4
+    assert sum(sample_uniform(12, 3, 250, seed=0, node_budget=250 * 4).histogram.values()) == 250
+    with pytest.raises(BudgetError, match="250 draws walk 1000 tree nodes"):
+        sample_uniform(12, 3, 250, seed=0, node_budget=250 * 4 - 1)
+    assert main(["sample", "--n", "8", "--m", "2", "--count", "99999999999999999999999"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "99999999999999999999999 draws" in err
+
+
 def test_chi2_quantile_matches_reference_values():
     # scipy.stats.chi2.ppf(p, df), scipy 1.17.1; df = 136 is the (12, 3) support less one, as the checks use
     reference = {
@@ -113,7 +148,7 @@ def test_empirical_matches_exact_distribution_tv():
 
 def test_trend_exact_path_matches_strata():
     # past n = 26 the medians were estimated from samples; every row now reads the strata
-    for row in structure_trend([24, 30, 40], lambda n: 6):
+    for row in structure_trend([24, 30, 40], "fixed:6"):
         joint = stratified_counts(row.n, 6).joint
         total = sum(joint.values())
         for axis, median in ((0, row.ell_median), (1, row.k_median)):
