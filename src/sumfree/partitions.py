@@ -5,9 +5,10 @@ p_star(k, ell) counts partitions of k into ell distinct parts, equivalently
 the ell-element sets of positive integers with element sum k; it satisfies
 the recurrence p*(k, ell) = p*(k - ell, ell - 1) + p*(k - ell, ell)
 (subtract one from every part; the smallest part either was 1 and vanishes
-or stays positive) and vanishes when k < ell(ell+1)/2.  Both refuse
-(BudgetError) a table past their budget: p counts its additions, p_star
-its k ell table cells.
+or stays positive) and vanishes when k < ell(ell+1)/2.  _p_star_row holds
+p*(j, ell) for every j <= k on one row, so its sum counts the ell-sets with
+sum at most k.  Both refuse (BudgetError) a table past their budget: p
+counts its additions, p_star its k ell table cells.
 
 The restricted counters answer "how many of those sets also have a small
 sumset".  No closed form is known, so they enumerate the candidate sets
@@ -67,18 +68,29 @@ def p(k: int, budget: int = DEFAULT_BUDGET) -> int:
 def p_star(k: int, ell: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of ell-element sets of distinct positive integers summing to k.
 
-    Counted as the partitions of r = k - ell(ell+1)/2 into parts <= ell,
-    on one row of r + 1 ints.  Its cost is taken as k ell table cells; past
-    `budget` of them it refuses (BudgetError) before allocating.  ell = 0
-    allocates nothing.
+    The last entry of _p_star_row(k, ell, budget), a row of partitions of
+    the remainder k - ell(ell+1)/2; past `budget` table cells it refuses
+    (BudgetError) before allocating.  ell = 0 allocates nothing.
+    """
+    if ell == 0 and k >= 0:
+        return int(k == 0)
+    return (_p_star_row(k, ell, budget) or [0])[-1]
+
+
+def _p_star_row(k: int, ell: int, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """[p*(j, ell) for j from ell(ell+1)/2 to k], empty when k is below that.
+
+    Entry s counts the partitions of s into parts <= ell (less 1, 2, ...,
+    ell from the parts of a set summing to ell(ell+1)/2 + s: at most ell
+    parts remain), on one row of k - ell(ell+1)/2 + 1 ints.  Its cost is
+    taken as k ell table cells; past `budget` of them it refuses
+    (BudgetError) before allocating.
     """
     if k < 0 or ell < 0:
         raise ValueError("k and ell must be >= 0")
-    if ell == 0:
-        return int(k == 0)
-    r = k - ell * (ell + 1) // 2  # less 1, 2, ..., ell from the parts: r in at most ell parts, i.e. parts <= ell
+    r = k - ell * (ell + 1) // 2
     if r < 0:
-        return 0
+        return []
     if k * ell > budget:
         raise BudgetError(f"p*({k}, {ell}) takes {k * ell} table cells, past the budget ({budget})", estimate=k * ell)
     row = [0] * (r + 1)
@@ -86,7 +98,7 @@ def p_star(k: int, ell: int, budget: int = DEFAULT_BUDGET) -> int:
     for j in range(1, ell + 1):
         for s in range(j, r + 1):
             row[s] += row[s - j]
-    return row[r]
+    return row
 
 
 def iter_distinct_sets(k: int, ell: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -121,9 +133,14 @@ def sumset_size_profile(
     """Histogram {|S+S|: count} over all ell-element sets summing to k.
 
     One enumeration pass answers every sumset-cap query for this (k, ell):
-    the count under a cap is the mass of the sizes up to it.
+    the count under a cap is the mass of the sizes up to it.  It refuses
+    (BudgetError) before enumerating when the candidates, p*(k, ell), pass
+    `budget`.
     """
-    _check_budget(k, ell, budget)
+    candidates = _candidates(k, ell, budget)
+    if candidates > budget:
+        raise BudgetError(f"instance too large for exact enumeration (about {candidates} candidates)",
+                          estimate=candidates)
     profile: Counter = Counter()
     for parts in iter_distinct_sets(k, ell, max_part):
         profile[sumsetbits(bits_of(parts)).bit_count()] += 1
@@ -221,11 +238,3 @@ def _candidates(k: int, ell: int, budget: int) -> int:
     """
     return p_star(k, ell, max(budget, DEFAULT_BUDGET))
 
-
-def _check_budget(k: int, ell: int, budget: int) -> None:
-    candidates = _candidates(k, ell, budget)
-    if candidates > budget:
-        raise BudgetError(
-            f"instance too large for exact enumeration (about {candidates} candidates)",
-            estimate=candidates,
-        )

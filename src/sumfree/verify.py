@@ -8,8 +8,11 @@ tests/test_acceptance.py and `sumfree verify` both run.
 Each check is exact or uses the frozen tolerance recorded next to it (log
 comparisons use bounds.REL_TOL, the gamma tail sums bounds.GAMMA_CAP); the
 "small" scale shrinks ranges for a quick smoke run, the "full" scale is
-the real gate.  Frozen desk-scale calibrations (first exact run, then
-fixed; any later regression fails):
+the real gate.  A check never grades a result by the code that made it:
+criterion 10's table comes from one walk over every small set of distinct
+parts, and its 40 spot checks recount their cells down the library's
+separate descending tree (count_restricted).  Frozen desk-scale
+calibrations (first exact run, then fixed; any later regression fails):
 
 - count_growth: count(n)/2^(n/2) for even n in [10, 40] lies in [1, 14],
   increases through n = 36, and is flat within 0.2 afterwards (13.5, at
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -46,8 +49,9 @@ from .bounds import (
     theorem_rhs,
 )
 from .enumeration import count_in_window, count_oracle, count_sum_free, enumerate_sum_free
+from .errors import BudgetError
 from .intset import bits_of
-from .partitions import DEFAULT_BUDGET, p, p_star, sumset_size_profile
+from .partitions import DEFAULT_BUDGET, _p_star_row, count_restricted, p, p_star
 from .sampling import draw_sum_free
 from .sumsets import b_set, freiman_cover, span, sumset, sumsetbits
 
@@ -305,26 +309,24 @@ def check_janson_and_pair_graph(scale: str = "full") -> tuple[bool, str]:
     return not problems, f"problems: {problems[:3]}"
 
 
-def _restricted_recount(k: int, ell: int, cap: int) -> int:
-    """Independent recount of the ell-element sets of distinct positive parts summing to k with |S+S| <= cap.
+def _sumset_profiles(kmax: int, ellmax: int) -> defaultdict:
+    """{(k, ell): Counter {|S+S|: count}} over the sets of at most ellmax distinct positive parts with sum k <= kmax.
 
-    An ascending search over the parts, bounded by the sum still left, that
-    keeps S+S as a bitmap grown by each new part x (x plus every part so
-    far, and 2x) and prunes a branch once it passes the cap.
+    One ascending walk visits each of those sets once, the empty set
+    included: a child adds a part x above every part so far, within the sum
+    still left, and grows S+S by x plus each part so far, and 2x.  Every
+    node is tallied into its cell.
     """
-    def rec(left: int, wanted: int, low: int, bits: int, ss: int) -> int:
-        if not wanted:
-            return int(left == 0)
-        found = 0
-        x = low
-        while wanted * x + wanted * (wanted - 1) // 2 <= left:  # x and wanted - 1 larger parts fit in what is left
-            grown = ss | (bits | 1 << x) << x
-            if grown.bit_count() <= cap:
-                found += rec(left - x, wanted - 1, x + 1, bits | 1 << x, grown)
-            x += 1
-        return found
+    profiles = defaultdict(Counter)
 
-    return rec(k, ell, 1, 0, 0)
+    def walk(total: int, size: int, low: int, bits: int, ss: int) -> None:
+        profiles[total, size][ss.bit_count()] += 1
+        if size < ellmax:
+            for x in range(low, kmax - total + 1):
+                walk(total + x, size + 1, x + 1, bits | 1 << x, ss | (bits | 1 << x) << x)
+
+    walk(0, 0, 1, 0, 0)
+    return profiles
 
 
 def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAULT_BUDGET):
@@ -333,25 +335,33 @@ def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAU
     family "per-sum" caps are floor(c k / ell) with the matching bound
     2^ell (2 c e k / (3 ell^2))^ell; family "per-size" caps are
     floor(lam * ell) with 2^ell ((4 lam - 3) e / 6)^ell, asserted only on
-    its hypothesis range k <= ell^2.  The table enumerates at most `budget`
-    candidates in all: each cell's profile gets what the cells before it
-    left, and refuses (BudgetError) past it.  A negative kmax or ellmax
-    raises ValueError.
+    its hypothesis range k <= ell^2.  Every cell's sumset-size profile
+    comes from one walk (_sumset_profiles) over its candidates, the sets
+    counted by p*(k, ell) for k <= kmax and 1 <= ell <= ellmax.  Before
+    walking, the table sums _p_star_row(kmax, ell) in ascending ell, each
+    row on up to max(budget, DEFAULT_BUDGET) cells, and refuses
+    (BudgetError) once that total passes `budget`.  A negative kmax or
+    ellmax raises ValueError.
     """
     if kmax < 0 or ellmax < 0:
         raise ValueError(f"need kmax >= 0 and ellmax >= 0, not {kmax}, {ellmax}")
+    ells = range(1, min(ellmax, isqrt(2 * kmax)) + 1)  # past isqrt(2 kmax), ell(ell+1)/2 > kmax: no ell-set fits
+    candidates = 0
+    for ell in ells:
+        candidates += sum(_p_star_row(kmax, ell, max(budget, DEFAULT_BUDGET)))
+        if candidates > budget:
+            raise BudgetError(f"the ratio table walks at least {candidates} candidate sets, past the budget ({budget})",
+                              estimate=candidates)
+    profiles = _sumset_profiles(kmax, ellmax)
     rows = []
-    left = budget
-    for ell in range(1, ellmax + 1):
+    for ell in ells:
         for k in range(ell * (ell + 1) // 2, kmax + 1):
-            profile = sumset_size_profile(k, ell, budget=left)
-            left -= sum(profile.values())
             families = (("per-sum", "S+S", "c", lambda c: int(c * k / ell)),
                         ("per-size", "S+S2", "lam", lambda lam: int(lam * ell)))
             for family, name, key, cap_of in families:
                 for param in (2, 2.5, 3):
                     cap = cap_of(param)
-                    count = sum(c for size, c in profile.items() if size <= cap)
+                    count = sum(c for size, c in profiles[k, ell].items() if size <= cap)
                     rhs = theorem_rhs(name, k=k, ell=ell, delta=1, **{key: param}).log
                     ratio = LogValue.of(count).log - rhs if count else None
                     rows.append((k, ell, family, param, cap, count, rhs, ratio))
@@ -365,7 +375,11 @@ def check_restricted_tables(scale: str = "full") -> tuple[bool, str]:
     The per-size family is asserted on its hypothesis range k <= ell^2
     only (outside it the bound is simply false at desk scale: ell = 3,
     k = 90, lam = 3 has 631 unconstrained sets versus (3e)^3 ~ 542).
-    Ratio rows cover the full grid either way.
+    Ratio rows cover the full grid either way.  The table's profiles come
+    from one ascending walk with an incremental sumset; 40 rows drawn at
+    random are recounted by count_restricted, which enumerates each cell
+    down its descending largest-part tree and computes every |S+S| afresh,
+    so the two share no code.
     """
     kmax = 90 if scale == "full" else 45
     rows = restricted_ratio_table(kmax=kmax)
@@ -382,7 +396,7 @@ def check_restricted_tables(scale: str = "full") -> tuple[bool, str]:
                 problems.append((k, ell, family, param, count))
     spot = random.Random(5).sample([r for r in rows if r[5] > 0], 40)
     for k, ell, family, param, cap, count, _rhs, _ratio in spot:
-        if _restricted_recount(k, ell, cap) != count:
+        if count_restricted(k, ell, sumset_cap=cap) != count:
             problems.append(("spot", k, ell, cap))
     detail = (
         f"{len(rows)} table rows, {asserted} asserted cells; "

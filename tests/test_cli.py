@@ -116,6 +116,19 @@ def test_ratio_table_keeps_its_budget(capsys):
         verify.restricted_ratio_table(30, 12, budget=candidates - 1)
 
 
+def test_ratio_table_refuses_before_walking(capsys, monkeypatch):
+    # the table walked cell by cell for two minutes at k = 10^4 before a cell refused, naming its own candidates
+    def walk(*args):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(verify, "_sumset_profiles", walk)
+    with pytest.raises(BudgetError):
+        verify.restricted_ratio_table(10_000)
+    code, out, err = run(["restricted", "--k", "10000", "--ratio-table"], capsys)
+    assert (code, out, err.count("\n")) == (3, "", 1), err
+    assert "ratio table walks at least 25005000 candidate sets" in err, err
+
+
 def test_ratio_table_reads_ell_zero_and_refuses_negatives(capsys):
     # --ell 0 built the whole ell <= 12 table, and a negative --k or --ell printed an empty one
     code, out, _ = run(["restricted", "--k", "4", "--ell", "0", "--ratio-table"], capsys)

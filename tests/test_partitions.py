@@ -18,6 +18,8 @@ from sumfree import (
     sumset,
     sumset_size_profile,
 )
+from sumfree.partitions import _p_star_row
+from sumfree.verify import _sumset_profiles
 
 
 def enum_partitions(k, max_part=None):
@@ -109,6 +111,8 @@ def test_p_star_against_enumeration():
         by_len = Counter(len(q) for q in enum_distinct(k, k))
         for ell in range(0, 10):
             assert p_star(k, ell) == by_len.get(ell, 0)
+    for ell in range(0, 10):  # p_star reads the last entry of the row, which holds every k from ell(ell+1)/2 on
+        assert _p_star_row(40, ell) == [p_star(k, ell) for k in range(ell * (ell + 1) // 2, 41)]
 
 
 def test_p_star_sums_to_distinct_partition_count():
@@ -174,6 +178,11 @@ def test_sumset_size_profile_consistency():
     assert sum(profile.values()) == 7
     assert profile[5] == 3
     assert sumset_size_profile(0, 0) == {0: 1}
+    # the ratio table's one walk gives every cell the profile of its own enumeration
+    walked = _sumset_profiles(30, 12)
+    cells = [(k, ell) for ell in range(1, 13) for k in range(ell * (ell + 1) // 2, 31)]
+    assert len(cells) == 133 and set(walked) == {(0, 0), *cells}  # and the empty set
+    assert all(walked[k, ell] == sumset_size_profile(k, ell) for k, ell in cells)
 
 
 def test_count_small_sumset_sets_examples():
