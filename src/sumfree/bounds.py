@@ -79,9 +79,14 @@ def log_binom(a: int, b: int) -> LogValue:
     """ln C(a, b) via log-gamma; zero for b outside [0, a]."""
     if a < 0:
         raise ValueError("a must be >= 0")
+    return LogValue(_ln_binom(a, b))
+
+
+def _ln_binom(a, b) -> float:
+    """ln C(a, b) as a float, -inf for b outside [0, a]."""
     if b < 0 or b > a:
-        return LogValue(-inf)
-    return LogValue(lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1))
+        return -inf
+    return lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
 
 
 def log_binom_real(a: float, b: int) -> LogValue:
@@ -281,7 +286,7 @@ LN2 = log(2.0)
 #: each named bound: its parameters, the range of each one it takes the log of (lowest value, whether that
 #: value is allowed), and its log as a function of the parameters in their order
 BOUNDS = {
-    "CEthm": (("n", "m", "C"), {"n": (0, True), "m": (1, True)}, lambda n, m, c: c * n / m * LN2 + log_binom((n + 1) // 2, m).log),
+    "CEthm": (("n", "m", "C"), {"n": (0, True), "m": (1, True)}, lambda n, m, c: c * n / m * LN2 + _ln_binom((n + 1) // 2, m)),
     "S+S": (("k", "ell", "c", "delta"), {"k": (0, False), "ell": (0, True), "c": (0, False)},
             lambda k, ell, c, delta: delta * 0.0 if ell == 0
             else delta * ell * LN2 + ell * (log(2 * c * k / 3) + 1 - 2 * log(ell))),
@@ -306,9 +311,30 @@ def theorem_rhs(name: str, **params) -> LogValue:
     BOUNDS gives it (where the formula would take the log of a value <= 0)
     raises ValueError naming the parameter and its range.
     """
-    if name not in BOUNDS:
+    spec = BOUNDS.get(name)
+    if spec is None:
         raise ValueError(f"unknown bound name {name!r}")
-    needs, ranges, formula = BOUNDS[name]
+    needs, ranges, formula = spec
+    args = []
+    try:
+        for p in needs:  # one pass; on a fault, _refuse raises the error a check-by-check pass raises first
+            v = params.get(p)
+            if v is None or (isinstance(v, float) and not math.isfinite(v)):
+                _refuse(name, params)
+            if p in ranges:
+                low, closed = ranges[p]
+                if not (v >= low if closed else v > low):
+                    _refuse(name, params)
+            args.append(v)
+    except TypeError:  # a value that does not compare: a later missing parameter is named first
+        _refuse(name, params)
+        raise
+    return LogValue(formula(*args))
+
+
+def _refuse(name: str, params: dict) -> None:
+    """Raise theorem_rhs's ValueError for the first fault among params: missing, non-finite, out of range."""
+    needs, ranges, _ = BOUNDS[name]
     missing = [p for p in needs if params.get(p) is None]
     if missing:
         raise ValueError(f"{name} needs {', '.join(needs)}; missing {', '.join(missing)}")
@@ -318,7 +344,6 @@ def theorem_rhs(name: str, **params) -> LogValue:
     for p, (low, closed) in ranges.items():
         if not (params[p] >= low if closed else params[p] > low):
             raise ValueError(f"{name} needs {p} {'>=' if closed else '>'} {low}, not {params[p]}")
-    return LogValue(formula(*[params[p] for p in needs]))
 
 
 def empirical_constant(n: int, m: int, exact_count: int) -> Optional[float]:

@@ -18,6 +18,13 @@ interval {a+1, ..., a+ceil(n/2)} with 0 <= a <= floor(n/2), together with
 the odd numbers.  Apart from the odd numbers and the one or two highest
 intervals, members of the family are not themselves sum-free; they are
 reference sets that near-maximal nearly-sum-free sets cluster around.
+
+Every kernel works on the bitmap of the set (bit v = value v).  The
+stability profile counts the triples inside A as, for each x in A, the
+popcount of (A above x) & (A >> x), and the escape from the family as |A|
+less the most of A that one member holds: the popcount of A & odds, or of
+the window (A >> a+1) & (2^ceil(n/2) - 1) at its best a.  schur_edges and
+extremal_family list the edges and members themselves.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .intset import IntSet, coerce_bits, iter_bits
+from .intset import IntSet, coerce_bits
 
 #: Default convention: x + x = z counts as a violation.
 ALLOW_EQUAL_DEFAULT = True
@@ -40,12 +47,13 @@ def is_sum_free(values, allow_equal: bool = ALLOW_EQUAL_DEFAULT) -> bool:
     with x != y count.
     """
     bits = coerce_bits(values)
-    for x in iter_bits(bits):
-        hits = (bits << x) & bits
-        if not allow_equal:
-            hits &= ~(1 << (2 * x))
-        if hits:
+    rest = bits
+    while rest:
+        low = rest & -rest  # x = low.bit_length() - 1; bits * low is S + x
+        hits = bits * low & bits
+        if hits and (allow_equal or hits != low * low):  # low * low is the bit of 2x
             return False
+        rest ^= low
     return True
 
 
@@ -85,15 +93,28 @@ def statistics_of(values, n: int) -> Statistics:
     bits = coerce_bits(values)
     if bits.bit_length() - 1 > n:
         raise ValueError("set not contained in {1, ..., n}")
-    m = bits.bit_count()
     low = bits & ((1 << (n // 2 + 1)) - 1)  # values <= n/2, i.e. 2v <= n
     ell = low.bit_count()
-    twice_k = ell * n - 2 * sum(iter_bits(low))
+    twice_k = ell * (n + 2)  # 2k = ell n - 2 sum(v); the loop below takes off 2 (v + 1) per v
     a_stat = None
     if low:
-        a_stat = Fraction(n - 2 * ((low & -low).bit_length() - 1), 2)
-    odd_flag = all(v & 1 for v in iter_bits(bits))
-    return Statistics(m=m, ell=ell, k=Fraction(twice_k, 2), a_stat=a_stat, odd_flag=odd_flag)
+        a_stat = _half(n + 2 - 2 * (low & -low).bit_length())
+    while low:
+        b = low & -low
+        twice_k -= 2 * b.bit_length()
+        low ^= b
+    odd_flag = not bits & _even_mask(bits.bit_length())
+    return Statistics(m=bits.bit_count(), ell=ell, k=_half(twice_k), a_stat=a_stat, odd_flag=odd_flag)
+
+
+def _half(t: int) -> Fraction:
+    """t / 2 as a Fraction, skipping the gcd when t is even."""
+    return Fraction(t >> 1) if t & 1 == 0 else Fraction(t, 2)
+
+
+def _even_mask(length: int) -> int:
+    """Bitmap of the even numbers 0, 2, 4, ... below 2 * ceil(length / 2) (0b0101...01)."""
+    return ((1 << (length + (length & 1))) - 1) // 3
 
 
 def odd_numbers(n: int) -> IntSet:
@@ -134,9 +155,21 @@ def stability_profile(values, n: int) -> StabilityProfile:
     bits = coerce_bits(values)
     if bits.bit_length() - 1 > n:
         raise ValueError("set not contained in {1, ..., n}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     triples = 0
-    for x, y, z in schur_edges(n):
-        if (bits >> x) & (bits >> y) & (bits >> z) & 1:
-            triples += 1
-    escape = min((bits & ~b.bits).bit_count() for b in extremal_family(n))
-    return StabilityProfile(schur_triples=triples, min_escape=escape)
+    rest = bits
+    while rest:  # for each x in A: the y > x in A with x + y in A
+        low = rest & -rest
+        rest ^= low
+        triples += (rest & (bits >> (low.bit_length() - 1))).bit_count()
+    # |A \ B| = |A| - |A & B|: the nearest member holds the most of A
+    best = (bits & (_even_mask(n + 1) << 1)).bit_count()
+    window = (1 << ((n + 1) // 2)) - 1
+    rest = bits >> 1
+    for _ in range(n // 2 + 1):  # interval {a+1, ..., a+ceil(n/2)} is window << (a+1)
+        held = (rest & window).bit_count()
+        if held > best:
+            best = held
+        rest >>= 1
+    return StabilityProfile(schur_triples=triples, min_escape=bits.bit_count() - best)

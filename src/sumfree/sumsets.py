@@ -8,6 +8,9 @@ identity span(S+S) = 2 span(S) holds for every nonempty S.
 Two structural tools build on this.  b_set(S, delta) collects the integer
 translates y whose shifted copy S + y escapes S + S in at most delta*|S|
 elements; a pair-counting argument bounds its size by |S+S| / (1 - delta).
+It tests every y of its window at once: each a in S gives one shift of S+S
+that marks the y with a + y in S+S, and bit-sliced counters (bit j of
+every y's count in one int) add up the |S| marks.
 freiman_cover(S) returns the shortest arithmetic progression containing S
 whenever the doubling is small (|S+S| <= 3|S| - 4); in that regime the
 cover provably has at most |S+S| - |S| + 1 terms.
@@ -69,7 +72,8 @@ def b_set(values, delta) -> tuple[int, ...]:
     delta < 1.  The result may include y <= 0, so it is returned as a plain
     tuple of integers rather than a positive-universe set.
     """
-    delta = Fraction(delta)
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
     if not (0 <= delta < 1):
         raise ValueError("delta must lie in [0, 1)")
     bits = coerce_bits(values)
@@ -79,14 +83,39 @@ def b_set(values, delta) -> tuple[int, ...]:
     ss = sumsetbits(bits)
     lo = ((ss & -ss).bit_length() - 1) - (bits.bit_length() - 1)
     hi = (ss.bit_length() - 1) - ((bits & -bits).bit_length() - 1)
-    allowed = delta * size
+    # bit i of window >> a is set when a + lo + i lies in S+S; a translate
+    # falling to <= 0 reads a bit shifted in as 0, so it escapes too
+    window = ss >> lo if lo >= 0 else ss << -lo
+    planes: list[int] = []  # bit-sliced hit counts: bit i of planes[j] is bit j of y = lo + i's count
+    rest = bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        carry = window >> (low.bit_length() - 1)
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    # escapes <= delta |S| exactly when the hits reach need = |S| - floor(delta |S|);
+    # compare each count with need from the top bit down
+    need = size - delta.numerator * size // delta.denominator
+    more = 0  # the y whose count already passes need on the bits compared
+    equal = (1 << (hi - lo + 1)) - 1 if need < 1 << len(planes) else 0  # the y equal to need on them so far
+    for j in reversed(range(len(planes))):
+        if need >> j & 1:
+            equal &= planes[j]
+        else:
+            more |= equal & planes[j]
+            equal &= ~planes[j]
+    kept = more | equal
     out = []
-    for y in range(lo, hi + 1):
-        shifted = bits << y if y >= 0 else bits >> (-y)
-        # translates falling to <= 0 vanish from the bitmap; they escape too
-        escapes = (shifted & ~ss).bit_count() + (size - shifted.bit_count())
-        if escapes <= allowed:
-            out.append(y)
+    while kept:
+        low = kept & -kept
+        out.append(low.bit_length() - 1 + lo)
+        kept ^= low
     return tuple(out)
 
 
@@ -123,8 +152,11 @@ def freiman_cover(values):
         raise ValueError("too small for the small-doubling regime (need |S| >= 3)")
     if sumsetbits(bits).bit_count() > 3 * size - 4:
         return None
-    elements = list(iter_bits(bits))
+    first = (bits & -bits).bit_length() - 1
+    rest = bits >> first ^ 1  # bit d is set when first + d is in S, d > 0
     g = 0
-    for prev, cur in zip(elements, elements[1:]):
-        g = gcd(g, cur - prev)
-    return APCover(first=elements[0], difference=g, length=(elements[-1] - elements[0]) // g + 1)
+    while rest and g != 1:
+        low = rest & -rest
+        g = gcd(g, low.bit_length() - 1)
+        rest ^= low
+    return APCover(first=first, difference=g, length=(bits.bit_length() - 1 - first) // g + 1)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,21 @@ def test_ratio_table_refuses_before_walking(capsys, monkeypatch):
     code, out, err = run(["restricted", "--k", "10000", "--ratio-table"], capsys)
     assert (code, out, err.count("\n")) == (3, "", 1), err
     assert "ratio table walks at least 25005000 candidate sets" in err, err
+
+
+def test_ratio_table_refuses_a_wide_row_before_building_any(capsys):
+    # at k = 10^7 the ell = 1 row of 10^7 ints was built and summed before the ell = 2 row refused, naming p*(k, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="ratio table"):
+            verify.restricted_ratio_table(10_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    code, out, err = run(["restricted", "--k", "10000000", "--ratio-table"], capsys)
+    assert (code, out, err.count("\n")) == (3, "", 1), err
+    assert "the ratio table's widest row, p*(10000000, 12), takes 120000000 table cells" in err, err
 
 
 def test_ratio_table_reads_ell_zero_and_refuses_negatives(capsys):

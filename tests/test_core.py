@@ -156,6 +156,46 @@ def test_stability_profile_examples():
     assert (prof.schur_triples, prof.min_escape) == (0, 0)
 
 
+def test_stability_profile_against_its_definition():
+    # the profile counts triples by shifted ANDs and escapes by window popcounts; here it is
+    # checked against every Schur edge and every member of the extremal family, for odd and even n
+    rng = random.Random(29)
+    for n in range(1, 71):
+        edges = list(schur_edges(n))
+        family = extremal_family(n)
+        sets = [set(), set(range(1, n + 1)), set(odd_numbers(n))]
+        sets += [{v for v in range(1, n + 1) if rng.random() < p} for p in (0.2, 0.5, 0.8)]
+        for s in sets:
+            prof = stability_profile(s, n)
+            assert prof.schur_triples == sum(1 for e in edges if set(e) <= s), (n, s)
+            assert prof.min_escape == min(len(s - set(b)) for b in family), (n, s)
+
+
+def test_statistics_against_a_direct_sum_on_odd_n():
+    # on odd n, k and a_stat are half-integers
+    rng = random.Random(31)
+    for _ in range(400):
+        n = 2 * rng.randint(0, 40) + 1
+        s = {v for v in range(1, n + 1) if rng.random() < rng.random()}
+        low = [a for a in s if 2 * a <= n]
+        st = statistics_of(s, n)
+        assert (st.m, st.ell) == (len(s), len(low))
+        assert st.k == sum(Fraction(n, 2) - a for a in low)
+        assert st.a_stat == (Fraction(n, 2) - min(low) if low else None)
+        assert st.odd_flag == all(a % 2 for a in s)
+
+
+def test_sum_free_against_the_triple_loop_on_wide_sets():
+    rng = random.Random(37)
+    for _ in range(2000):
+        top = rng.randint(1, 120)
+        s = set(rng.sample(range(1, top + 1), rng.randint(0, min(top, 10))))
+        if s and rng.random() < 0.3:
+            s.add(2 * rng.choice(sorted(s)))  # x and 2x: a violation only when x + x counts
+        for allow_equal in (True, False):
+            assert is_sum_free(s, allow_equal) == oracle_sum_free(s, allow_equal), (s, allow_equal)
+
+
 def test_intset_basics():
     s = IntSet(10, [3, 1, 7])
     assert list(s) == [1, 3, 7]  # ascending iteration

@@ -99,6 +99,37 @@ def test_b_set_matches_naive_for_positive_delta():
         assert b_set(s, d) == naive_b_set(s, d)
 
 
+def test_b_set_with_nonpositive_translates_against_naive():
+    # with 1 and 2 in S the window starts at min(S+S) - max(S) <= 0, so translates reach y <= 0,
+    # where some of S + y falls to <= 0 and counts as escaping
+    rng = random.Random(29)
+    for _ in range(400):
+        s = {1, 2} | set(rng.sample(range(3, 60), rng.randint(0, 10)))
+        for d in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+            assert b_set(s, d) == naive_b_set(s, d), (sorted(s), d)
+    assert b_set({1, 2, 4, 8}, Fraction(1, 4)) == (0, 1, 2, 4, 8)
+
+
+def naive_freiman_cover(s):
+    s = sorted(s)
+    if len(naive_sumset(set(s))) > 3 * len(s) - 4:
+        return None
+    g = 0
+    for x, y in zip(s, s[1:]):
+        g = gcd(g, y - x)
+    return (s[0], g, (s[-1] - s[0]) // g + 1)
+
+
+def test_freiman_cover_against_naive():
+    rng = random.Random(31)
+    for _ in range(3000):
+        step = rng.choice((1, 1, 2, 3, 5))
+        s = {step * v for v in rng.sample(range(1, 40), rng.randint(3, 12))}
+        cover = freiman_cover(s)
+        got = None if cover is None else (cover.first, cover.difference, cover.length)
+        assert got == naive_freiman_cover(s), sorted(s)
+
+
 def test_b_set_rejects_bad_delta():
     with pytest.raises(ValueError):
         b_set({1, 2}, 1)
