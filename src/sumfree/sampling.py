@@ -144,7 +144,7 @@ class TrendRow:
 def parse_m_rule(rule: str) -> Callable[[int], int]:
     """Rules: 'sqrt' (ceil of sqrt), 'half', 'div:K' (ceil n/K), 'fixed:M'."""
     if rule == "sqrt":
-        return lambda n: isqrt(n) if isqrt(n) ** 2 == n else isqrt(n) + 1
+        return lambda n: n and isqrt(n - 1) + 1
     if rule == "half":
         return lambda n: (n + 1) // 2
     if rule.startswith("div:"):

@@ -52,7 +52,7 @@ from .enumeration import count_in_window, count_oracle, count_sum_free, enumerat
 from .errors import BudgetError
 from .intset import bits_of
 from .partitions import DEFAULT_BUDGET, _p_star_row, count_restricted, p, p_star
-from .sampling import draw_sum_free
+from .sampling import draw_sum_free, parse_m_rule
 from .sumsets import b_set, freiman_cover, span, sumset, sumsetbits
 
 # frozen caps (see module docstring)
@@ -191,8 +191,7 @@ def check_lower_bound(scale: str = "full") -> tuple[bool, str]:
     problems = []
     for n in ns:
         res = count_sum_free(n)
-        mlo = isqrt(n) if isqrt(n) ** 2 == n else isqrt(n) + 1
-        for m in range(mlo, n // 2 + 1):
+        for m in range(parse_m_rule("sqrt")(n), n // 2 + 1):
             if res.by_size.get(m, 0) < comb((n + 1) // 2, m):
                 problems.append(f"count({n},{m}) below binomial witness")
             a = int(WINDOW_C * n * n / (m * m))

@@ -230,6 +230,20 @@ def test_theorem_rhs_forms():
         theorem_rhs("nope", x=1)
 
 
+def test_conj_is_the_log_binomial_at_half_of_n():
+    # C(N/2, m) on the half-integer grid, by lgamma written out here, and -inf (no set) when m > N/2
+    for cap_n in range(0, 41):
+        for m in range(0, cap_n // 2 + 3):
+            for delta in (0, 0.5, -1.0):
+                rhs = theorem_rhs("conj", N=cap_n, m=m, delta=delta).log
+                if 2 * m > cap_n:
+                    assert rhs == -math.inf, (cap_n, m, delta)
+                    continue
+                half = cap_n / 2
+                expected = delta * m * math.log(2) + math.lgamma(half + 1) - math.lgamma(m + 1) - math.lgamma(half - m + 1)
+                assert math.isclose(rhs, expected, rel_tol=1e-12, abs_tol=1e-12), (cap_n, m, delta)
+
+
 VALID = dict(n=10, m=3, C=1.0, k=20, ell=4, c=2.0, delta=0.5, lam=2.0, N=20)
 
 

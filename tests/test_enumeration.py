@@ -26,7 +26,7 @@ from sumfree import (
     stratified_counts,
 )
 from sumfree import enumeration
-from sumfree.enumeration import DEFAULT_NODE_BUDGET, _differences, _upper
+from sumfree.enumeration import DEFAULT_NODE_BUDGET, _differences, _upper, sum_free_ranking
 
 
 def test_oracle_examples():
@@ -537,6 +537,24 @@ def test_strata_fit_in_the_budget_of_the_count():
                     assert by_size.get(m, 0) == sum(joint.values()) <= count.total, (allow_equal, n, m, budget)
     # an m above n covers nothing and refuses nothing, as for counts
     assert stratified_counts(60, 61).total == count_sum_free(60, 61).total == 0
+
+
+def test_sizes_above_the_universe_count_zero_at_any_budget():
+    # a size above the universe covers no node: it returns 0 before any budget check, and a size equal to the
+    # universe's still searches, so budget 0 refuses it
+    for allow_equal in (True, False):
+        for n in range(1, 13):
+            window = range((n + 1) // 2, n + 1)
+            for universe, usize in ((None, n), (window, len(window))):
+                for m in (usize + 1, usize + 2, n + 1):
+                    res = count_sum_free(n, m, universe=universe, allow_equal=allow_equal, node_budget=0)
+                    assert (res.total, res.by_size, res.nodes, res.states) == (0, {}, 0, 0), (allow_equal, n, m)
+                with pytest.raises(BudgetError):
+                    count_sum_free(n, usize, universe=universe, allow_equal=allow_equal, node_budget=0)
+            for m in (n + 1, n + 2):
+                assert sum_free_ranking(n, m, allow_equal, node_budget=0)[0] == 0, (allow_equal, n, m)
+                table = stratified_counts(n, m, allow_equal, node_budget=0)
+                assert (table.total, table.joint, table.odd_joint) == (0, {}, {}), (allow_equal, n, m)
 
 
 def test_strata_budget_refuses_with_partial_tallies():

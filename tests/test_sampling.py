@@ -8,6 +8,7 @@ import pytest
 
 from sumfree.cli import main
 from sumfree.enumeration import sum_free_ranking
+from sumfree.sampling import parse_m_rule
 from sumfree.verify import chi2_quantile
 from sumfree import (
     BudgetError,
@@ -161,6 +162,14 @@ def test_trend_exact_path_matches_strata():
                 if 2 * acc >= total:
                     assert median == value, (row.n, axis)
                     break
+
+
+def test_sqrt_rule_is_the_least_m_whose_square_reaches_n():
+    rule = parse_m_rule("sqrt")
+    assert rule(0) == 0
+    for n in [*range(1, 10**4 + 1), 10**40 - 1, 10**40, 10**40 + 1]:
+        m = rule(n)
+        assert m * m >= n > (m - 1) * (m - 1), n
 
 
 def test_trend_degenerate_m1():
