@@ -276,7 +276,7 @@ COMMANDS = {
          ("--m-rule", str, "sqrt", False, "sqrt | half | div:K | fixed:M")), sampling.structure_trend,
         project=lambda rows: [{**asdict(r), "ell_scaled": round(r.ell_scaled, 6), "k_scaled": round(r.k_scaled, 6)}
                               for r in rows], budget="node_budget"),
-    "verify": Command("run the acceptance checks", (("--suite", ("small", "full"), "full"),)),
+    "verify": Command("run the acceptance checks", ()),
 }
 
 
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         subparser = sub.add_parser(name, help=command.help)
         budget = (BUDGET,) if command.budget else ()
-        _add_arguments(subparser, (COMMON if command.call else ()) + command.args + budget)  # verify: --suite only
+        _add_arguments(subparser, (COMMON if command.call else ()) + command.args + budget)  # verify: no flag
     return parser
 
 
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     if ns.command == "verify":
-        return 0 if all(r.passed for r in verify.run_all(ns.suite)) else 1
+        return 0 if all(r.passed for r in verify.run_all()) else 1
 
     command = COMMANDS[ns.command]
     try:

@@ -9,9 +9,9 @@ and no pair of vertices lies in more than two edges.
 
 For a set I inside {1, ..., n} the low part is S(I) = {x in I : x <= n/2};
 the statistics record carries its size, its total deficiency
-sum over a in S(I) of (n/2 - a), the deficiency of its minimum, and
-whether I consists of odd numbers only.  On odd n these quantities live on
-the half-integer grid, so they are kept as exact fractions.
+sum over a in S(I) of (n/2 - a), and whether I consists of odd numbers
+only.  On odd n the deficiency lives on the half-integer grid, so it is
+kept as an exact fraction.
 
 The extremal family for the sum-free counting problem consists of every
 interval {a+1, ..., a+ceil(n/2)} with 0 <= a <= floor(n/2), together with
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .intset import IntSet, coerce_bits
 
@@ -77,14 +77,12 @@ class Statistics:
     m         -- |I|
     ell       -- |S(I)| where S(I) = {x in I : x <= n/2}
     k         -- sum over a in S(I) of (n/2 - a), exact (half-integers on odd n)
-    a_stat    -- n/2 - min(S(I)), or None when S(I) is empty
     odd_flag  -- True when every element of I is odd
     """
 
     m: int
     ell: int
     k: Fraction
-    a_stat: Optional[Fraction]
     odd_flag: bool
 
 
@@ -96,15 +94,12 @@ def statistics_of(values, n: int) -> Statistics:
     low = bits & ((1 << (n // 2 + 1)) - 1)  # values <= n/2, i.e. 2v <= n
     ell = low.bit_count()
     twice_k = ell * (n + 2)  # 2k = ell n - 2 sum(v); the loop below takes off 2 (v + 1) per v
-    a_stat = None
-    if low:
-        a_stat = _half(n + 2 - 2 * (low & -low).bit_length())
     while low:
         b = low & -low
         twice_k -= 2 * b.bit_length()
         low ^= b
     odd_flag = not bits & _even_mask(bits.bit_length())
-    return Statistics(m=bits.bit_count(), ell=ell, k=_half(twice_k), a_stat=a_stat, odd_flag=odd_flag)
+    return Statistics(m=bits.bit_count(), ell=ell, k=_half(twice_k), odd_flag=odd_flag)
 
 
 def _half(t: int) -> Fraction:

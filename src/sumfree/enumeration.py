@@ -564,7 +564,6 @@ def _walk(ubits: int, fixed: int, allow_equal: bool, m: Optional[int], reach: bo
 def enumerate_sum_free(
     n: int,
     m: Optional[int] = None,
-    universe=None,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
     stream_budget: int = DEFAULT_STREAM_BUDGET,
 ) -> Iterator[IntSet]:
@@ -573,13 +572,13 @@ def enumerate_sum_free(
     The expected output size is counted first; a BudgetError is raised
     before streaming when it exceeds stream_budget.
     """
-    expected = count_sum_free(n, m, universe=universe, allow_equal=allow_equal).total
+    expected = count_sum_free(n, m, allow_equal=allow_equal).total
     if expected > stream_budget:
         raise BudgetError(
             f"enumeration would stream {expected} sets (> budget {stream_budget})",
             estimate=expected,
         )
-    nodes = _walk(_universe_bits(n, universe), 0, allow_equal, m, m is not None)
+    nodes = _walk(_universe_bits(n, None), 0, allow_equal, m, m is not None)
     return (IntSet.from_bits(n, chosen) for _allowed, chosen, size in nodes if m is None or size == m)
 
 

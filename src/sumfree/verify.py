@@ -3,12 +3,13 @@
 Each criterion is declared once, by `@criterion(cid, name, seconds=...)`
 on a check that returns (passed, detail).  The decorator times the check,
 fails it at or past its time bound, and appends it to ALL_CHECKS, which
-tests/test_acceptance.py and `sumfree verify` both run.
+tests/test_acceptance.py and `sumfree verify` both run.  Each bound is
+20 times the slowest of five `sumfree verify` readings (2 vCPUs, Python
+3.11), rounded up to 10 s and at least 10 s.
 
 Each check is exact or uses the frozen tolerance recorded next to it (log
-comparisons use bounds.REL_TOL, the gamma tail sums bounds.GAMMA_CAP); the
-"small" scale shrinks ranges for a quick smoke run, the "full" scale is
-the real gate.  A check never grades a result by the code that made it:
+comparisons use bounds.REL_TOL, the gamma tail sums bounds.GAMMA_CAP).
+A check never grades a result by the code that made it:
 criterion 10's table comes from one walk over every small set of distinct
 parts, and its 40 spot checks recount their cells down the library's
 separate descending tree (count_restricted).  Frozen desk-scale
@@ -77,24 +78,24 @@ class CheckResult:
         return f"[{status}] criterion {self.cid:>2}: {self.name} ({self.elapsed:.1f}s) - {self.detail}"
 
 
-#: the declared criteria in declaration order; each takes the scale and returns a CheckResult
+#: the declared criteria in declaration order; each returns a CheckResult
 ALL_CHECKS = []
 
 
-def criterion(cid: str, name: str, seconds: float | None = None):
+def criterion(cid: str, name: str, seconds: float):
     """Declare a check, returning (passed, detail), as criterion `cid` and append it to ALL_CHECKS.
 
-    The declared check takes the scale and returns a timed CheckResult; one
-    that takes `seconds` or longer fails, whatever its own verdict.
+    The declared check returns a timed CheckResult; one that takes
+    `seconds` or longer fails, whatever its own verdict.
     """
 
     def declare(check):
         @wraps(check)
-        def timed(scale: str = "full") -> CheckResult:
+        def timed() -> CheckResult:
             t0 = time.perf_counter()
-            passed, detail = check(scale)
+            passed, detail = check()
             elapsed = time.perf_counter() - t0
-            if seconds is not None and elapsed >= seconds:
+            if elapsed >= seconds:
                 passed, detail = False, f"{detail}; over its {seconds} s bound"
             return CheckResult(cid, name, passed, detail, elapsed)
 
@@ -107,10 +108,10 @@ def criterion(cid: str, name: str, seconds: float | None = None):
 # ----------------------------------------------------------------------
 
 
-@criterion("1", "oracle equivalence", seconds=120)
-def check_oracle_equivalence(scale: str = "full") -> tuple[bool, str]:
+@criterion("1", "oracle equivalence", seconds=10)
+def check_oracle_equivalence() -> tuple[bool, str]:
     """1. Search equals the subset oracle for every n, m and both conventions."""
-    nmax = 20 if scale == "full" else 12
+    nmax = 20
     bad = []
     for allow_equal in (True, False):
         for n in range(1, nmax + 1):
@@ -122,17 +123,17 @@ def check_oracle_equivalence(scale: str = "full") -> tuple[bool, str]:
     return not bad, detail
 
 
-@criterion("2", "pinned partition values")
-def check_pinned_partition_values(scale: str = "full") -> tuple[bool, str]:
+@criterion("2", "pinned partition values", seconds=10)
+def check_pinned_partition_values() -> tuple[bool, str]:
     """2. p(3) = 3 and p*_3(8) = 2 exactly."""
     ok = p(3) == 3 and p_star(8, 3) == 2
     return ok, f"p(3)={p(3)}, p*(8,3)={p_star(8, 3)}"
 
 
 @criterion("3", "distinct-parts bound", seconds=10)
-def check_distinct_parts_bound(scale: str = "full") -> tuple[bool, str]:
+def check_distinct_parts_bound() -> tuple[bool, str]:
     """3. p*(k, ell) < (e^2 k / ell^2)^ell for all ell >= 1, staircase <= k <= 120."""
-    kmax = 120 if scale == "full" else 60
+    kmax = 120
     violations = 0
     cells = 0
     for ell in range(1, 16):
@@ -147,14 +148,13 @@ def check_distinct_parts_bound(scale: str = "full") -> tuple[bool, str]:
     return violations == 0, f"{cells} cells, {violations} violations"
 
 
-@criterion("4", "count growth caps", seconds=600)
-def check_count_growth(scale: str = "full") -> tuple[bool, str]:
+@criterion("4", "count growth caps", seconds=40)
+def check_count_growth() -> tuple[bool, str]:
     """4. Frozen growth caps: ratio in [1, 14], rise-then-flat; C* <= 4 for m >= sqrt(n)."""
-    nmax = 40 if scale == "full" else 24
     ratios = {}
     cstar_max = (None, -math.inf)
     problems = []
-    for n in range(10, nmax + 1, 2):
+    for n in range(10, 41, 2):
         res = count_sum_free(n)
         ratio = res.total / 2 ** (n // 2)
         ratios[n] = ratio
@@ -180,16 +180,15 @@ def check_count_growth(scale: str = "full") -> tuple[bool, str]:
     return not problems, detail
 
 
-@criterion("5", "lower-bound construction", seconds=60)
-def check_lower_bound(scale: str = "full") -> tuple[bool, str]:
+@criterion("5", "lower-bound construction", seconds=10)
+def check_lower_bound() -> tuple[bool, str]:
     """5. count(n, m) >= C(ceil(n/2), m); window probability >= exp(-0.05 n/(2m)).
 
     The probability clause uses the distinct-summand convention (see the
     module docstring for why the pinned constant forces that choice).
     """
-    ns = range(16, 29, 2) if scale == "full" else range(16, 21, 2)
     problems = []
-    for n in ns:
+    for n in range(16, 29, 2):
         res = count_sum_free(n)
         for m in range(parse_m_rule("sqrt")(n), n // 2 + 1):
             if res.by_size.get(m, 0) < comb((n + 1) // 2, m):
@@ -204,10 +203,10 @@ def check_lower_bound(scale: str = "full") -> tuple[bool, str]:
     return not problems, f"problems: {problems}"
 
 
-@criterion("6", "progression covers", seconds=120)
-def check_freiman_exhaustive(scale: str = "full") -> tuple[bool, str]:
+@criterion("6", "progression covers", seconds=10)
+def check_freiman_exhaustive() -> tuple[bool, str]:
     """6. Small-doubling sets get a progression cover of length <= |S+S| - |S| + 1."""
-    vmax = 40 if scale == "full" else 24
+    vmax = 40
     checked = 0
     failures = []
     for size in (3, 4, 5):
@@ -230,10 +229,10 @@ def check_freiman_exhaustive(scale: str = "full") -> tuple[bool, str]:
     return not failures, detail
 
 
-@criterion("7", "translate-set bound", seconds=60)
-def check_b_set_bound(scale: str = "full") -> tuple[bool, str]:
+@criterion("7", "translate-set bound", seconds=10)
+def check_b_set_bound() -> tuple[bool, str]:
     """7. |b_set(S, d)| <= |S+S| / (1 - d) on random sets."""
-    cases = 10_000 if scale == "full" else 1_000
+    cases = 10_000
     rng = random.Random(1707)
     deltas = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
     failures = 0
@@ -248,10 +247,10 @@ def check_b_set_bound(scale: str = "full") -> tuple[bool, str]:
     return failures == 0, f"{cases} cases, {failures} failures"
 
 
-@criterion("8", "span identity")
-def check_span_identity(scale: str = "full") -> tuple[bool, str]:
+@criterion("8", "span identity", seconds=10)
+def check_span_identity() -> tuple[bool, str]:
     """8. span(S + S) = 2 span(S) on random sets."""
-    cases = 10_000 if scale == "full" else 1_000
+    cases = 10_000
     rng = random.Random(88)
     failures = 0
     for _ in range(cases):
@@ -275,13 +274,12 @@ def _janson_oracle_exact(family, ground_size, draw_size):
     return mu, delta
 
 
-@criterion("9", "moment quantities and pair graph", seconds=60)
-def check_janson_and_pair_graph(scale: str = "full") -> tuple[bool, str]:
+@criterion("9", "moment quantities and pair graph", seconds=10)
+def check_janson_and_pair_graph() -> tuple[bool, str]:
     """9. mu/Delta match an exact oracle; pair-graph has k edges, degree <= 2|S|."""
-    fams = 1000 if scale == "full" else 200
     rng = random.Random(41)
     problems = []
-    for _ in range(fams):
+    for _ in range(1000):
         ground = rng.randint(6, 30)
         draw = rng.randint(1, ground)
         family = [
@@ -294,8 +292,7 @@ def check_janson_and_pair_graph(scale: str = "full") -> tuple[bool, str]:
             problems.append(("mu", family, ground, draw))
         if not jq.delta.close(LogValue.of(delta_x)):
             problems.append(("delta", family, ground, draw))
-    nmax = 200 if scale == "full" else 60
-    for n in range(2, nmax + 1, 2):
+    for n in range(2, 201, 2):
         for _ in range(3):
             size = rng.randint(1, max(1, min(8, n // 2)))
             s = rng.sample(range(1, n // 2 + 1), min(size, n // 2))
@@ -372,8 +369,8 @@ def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAU
     return rows
 
 
-@criterion("10", "restricted-count tables", seconds=300)
-def check_restricted_tables(scale: str = "full") -> tuple[bool, str]:
+@criterion("10", "restricted-count tables", seconds=60)
+def check_restricted_tables() -> tuple[bool, str]:
     """10. Restricted counts stay below the delta=1 closed forms; ratios reported.
 
     The per-size family is asserted on its hypothesis range k <= ell^2
@@ -385,8 +382,7 @@ def check_restricted_tables(scale: str = "full") -> tuple[bool, str]:
     down its descending largest-part tree and computes every |S+S| afresh,
     so the two share no code.
     """
-    kmax = 90 if scale == "full" else 45
-    rows = restricted_ratio_table(kmax=kmax)
+    rows = restricted_ratio_table(kmax=90)
     problems = []
     worst = {"per-sum": -math.inf, "per-size": -math.inf}
     asserted = 0
@@ -440,10 +436,10 @@ def chi2_quantile(p: float, df: int) -> float:
     return hi
 
 
-@criterion("11", "sampler uniformity", seconds=60)
-def check_sampler_uniformity(scale: str = "full") -> tuple[bool, str]:
+@criterion("11", "sampler uniformity", seconds=10)
+def check_sampler_uniformity() -> tuple[bool, str]:
     """11. Chi-square of 10^4 samples vs the exact support, under 0.999 quantile."""
-    seeds, draws, needed = (10, 10_000, 9) if scale == "full" else (3, 3_000, 2)
+    seeds, draws, needed = 10, 10_000, 9
     support = [frozenset(s) for s in enumerate_sum_free(12, 3)]
     k = len(support)
     threshold = chi2_quantile(0.999, k - 1)
@@ -461,10 +457,10 @@ def check_sampler_uniformity(scale: str = "full") -> tuple[bool, str]:
     return ok >= needed, detail
 
 
-@criterion("12", "inequality sweeps", seconds=60)
-def check_inequality_sweeps(scale: str = "full") -> tuple[bool, str]:
+@criterion("12", "inequality sweeps", seconds=10)
+def check_inequality_sweeps() -> tuple[bool, str]:
     """12. Binomial-shift inequalities on random tuples; tail sum within 2x Gamma."""
-    cases = 10_000 if scale == "full" else 1_000
+    cases = 10_000
     rng = random.Random(12)
     failures = 0
     for _ in range(cases):
@@ -488,10 +484,10 @@ def check_inequality_sweeps(scale: str = "full") -> tuple[bool, str]:
     return failures == 0 and gamma_fail == 0, detail
 
 
-def run_all(scale: str = "full") -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run every declared criterion in order, printing one pass/fail line each."""
     results = []
     for check in ALL_CHECKS:
-        results.append(check(scale))
+        results.append(check())
         print(results[-1])
     return results

@@ -73,19 +73,18 @@ def test_edges_have_distinct_members():
 
 def test_statistics_examples():
     st = statistics_of({1, 3, 5, 7}, 8)
-    assert (st.m, st.ell, st.k, st.a_stat, st.odd_flag) == (4, 2, 4, 3, True)
+    assert (st.m, st.ell, st.k, st.odd_flag) == (4, 2, 4, True)
     st = statistics_of(range(6, 11), 10)
-    assert (st.ell, st.k, st.a_stat, st.odd_flag) == (0, 0, None, False)
+    assert (st.ell, st.k, st.odd_flag) == (0, 0, False)
     st = statistics_of({4, 9, 10}, 10)
-    assert (st.ell, st.k, st.a_stat) == (1, 1, 1)
+    assert (st.ell, st.k) == (1, 1)
 
 
 def test_statistics_odd_n_half_integer_grid():
     st = statistics_of({1, 4, 9}, 9)
-    # lows are 1 and 4: k = (9/2 - 1) + (9/2 - 4) = 4, a = 9/2 - 1 = 7/2
+    # lows are 1 and 4: k = (9/2 - 1) + (9/2 - 4) = 4
     assert st.ell == 2
     assert st.k == 4
-    assert st.a_stat == Fraction(7, 2)
     st2 = statistics_of({3}, 7)
     assert st2.k == Fraction(1, 2)
 
@@ -99,14 +98,12 @@ def test_statistics_k_zero_iff_low_part_in_half():
         low = {v for v in s if 2 * v <= n}
         assert st.k >= 0
         assert (st.k == 0) == (low <= {Fraction(n, 2)})
-        if st.ell:
-            assert st.a_stat >= 0
 
 
 def test_statistics_k_zero_with_half_element():
     # for even n the element n/2 itself contributes zero deficiency
     st = statistics_of({5, 7}, 10)
-    assert st.ell == 1 and st.k == 0 and st.a_stat == 0
+    assert st.ell == 1 and st.k == 0
 
 
 def test_statistics_invariant_under_adding_high_elements():
@@ -117,7 +114,7 @@ def test_statistics_invariant_under_adding_high_elements():
         high = {v for v in range(n // 2 + 1, n + 1) if rng.random() < 0.4}
         a = statistics_of(low, n)
         b = statistics_of(low | high, n)
-        assert (a.ell, a.k, a.a_stat) == (b.ell, b.k, b.a_stat)
+        assert (a.ell, a.k) == (b.ell, b.k)
 
 
 def test_extremal_family_shape():
@@ -172,7 +169,7 @@ def test_stability_profile_against_its_definition():
 
 
 def test_statistics_against_a_direct_sum_on_odd_n():
-    # on odd n, k and a_stat are half-integers
+    # on odd n, k is a half-integer
     rng = random.Random(31)
     for _ in range(400):
         n = 2 * rng.randint(0, 40) + 1
@@ -181,7 +178,6 @@ def test_statistics_against_a_direct_sum_on_odd_n():
         st = statistics_of(s, n)
         assert (st.m, st.ell) == (len(s), len(low))
         assert st.k == sum(Fraction(n, 2) - a for a in low)
-        assert st.a_stat == (Fraction(n, 2) - min(low) if low else None)
         assert st.odd_flag == all(a % 2 for a in s)
 
 
