@@ -208,7 +208,7 @@ COMMANDS = {
         drops=lambda q: ("budget",) if q["oracle"] else ()),  # the oracle has its own 24-element cap
     "enumerate": Command(
         "list sum-free sets", (N, ("--m", int), DISTINCT), lambda **q: list(enumeration.enumerate_sum_free(**q)),
-        lambda sets: {"count": len(sets), "sets": sets}, budget="stream_budget"),
+        lambda sets: {"count": len(sets), "sets": sets}, budget="node_budget"),
     "strata": Command(
         "joint (ell, k) distribution of sum-free m-sets", (N, M, DISTINCT), enumeration.stratified_counts,
         lambda t: [{"ell": ell, "k": k, "count": c, "odd_only": t.odd_joint.get((ell, k), 0)}

@@ -47,11 +47,12 @@ the sampler draws exactly uniform sets.
 
 Listings need the sets themselves, so enumerate_sum_free walks the nodes
 one by one in ascending set order, skipping branches that cannot reach
-size m.  Strata by the low-part statistics (ell, k, all-odd flag) are
-tallies over the same prefixes, with the upper part cut at 2x > n where
-those statistics are defined; an all-odd prefix kills only even numbers,
-so its all-odd completions are a binomial.  Windows and strata share the
-count's budget and refusals.  Everything runs in one process.
+size m, once a count of those nodes has passed its budget.  Strata by
+the low-part statistics (ell, k, all-odd flag) are tallies over the same
+prefixes, with the upper part cut at 2x > n where those statistics are
+defined; an all-odd prefix kills only even numbers, so its all-odd
+completions are a binomial.  Listings, windows and strata share the
+count's budget unit and refusals.  Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -67,14 +68,13 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .core import ALLOW_EQUAL_DEFAULT, _even_mask, _half
-from .errors import BudgetError
+from .errors import STACK_HEADROOM, BudgetError, refuse_deeper
 from .intset import IntSet, coerce_bits, iter_bits
 
 DEFAULT_NODE_BUDGET = 2 * 10**8
-DEFAULT_STREAM_BUDGET = 10**6
+DEFAULT_LISTING_BUDGET = 10**6
 ORACLE_MAX_UNIVERSE = 24
 ORACLE_BLOCK = 1 << 14  # subsets per block, one bit each of a keep mask; a power of two, fastest at 20-24 elements
-STACK_HEADROOM = 100  # interpreter frames left to the callers of a count
 
 
 @dataclass
@@ -342,15 +342,14 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
     conventions, and so is every subset of its elements above half its
     largest.  So the count covers at least sum_{j <= wanted} C(u, j) nodes,
     u the larger of those two element counts, and it refuses with that sum
-    (its terms added until it passes the budget) in partial.  That sum is
-    at most 2^u <= 2^|universe|, so a budget of at least 2^|universe|
-    passes it without summing.  The upper solver recurses once per chosen
-    element, so it also refuses when wanted exceeds the recursion limit
-    less STACK_HEADROOM.
+    (its terms added until it passes the budget) as estimate and in
+    partial.  That sum is at most 2^u <= 2^|universe|, so a budget of at
+    least 2^|universe| passes it without summing.  The upper solver
+    recurses once per chosen element, so a wanted deeper than
+    refuse_deeper allows refuses too, with the same partial.
     """
-    limit = sys.getrecursionlimit()
-    if budget >> ubits.bit_count() > 0 and wanted <= limit - STACK_HEADROOM:
-        return  # 2^|universe| <= budget
+    if budget >> ubits.bit_count() > 0 and wanted <= sys.getrecursionlimit() - STACK_HEADROOM:
+        return  # 2^|universe| <= budget, and refuse_deeper would pass
     half = (ubits.bit_length() + 1) // 2  # elements >= half sum past the largest
     odd = ubits & _even_mask(ubits.bit_length()) << 1
     u = max(odd.bit_count(), (ubits >> half).bit_count())
@@ -360,12 +359,8 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
         if bound > budget:
             break
     if bound > budget:
-        message = f"search node budget exceeded ({budget})"
-    elif wanted > limit - STACK_HEADROOM:
-        message = f"search depth {wanted} exceeds the interpreter's recursion limit ({limit})"
-    else:
-        return
-    raise BudgetError(message, estimate=budget, partial=({}, None, bound))
+        raise BudgetError(f"search node budget exceeded ({budget})", bound, ({}, None, bound))
+    refuse_deeper(wanted, ({}, None, bound))
 
 
 def _prefixes(
@@ -388,7 +383,7 @@ def _prefixes(
     completion, so the coefficient sums add up to the count's nodes.  A
     count past `budget` refuses here: before the walk when
     _refuse_unreachable does, and otherwise after the prefix that passes
-    it, with the nodes so far in partial.
+    it, with the nodes so far as estimate and in partial.
     """
     if wanted > ubits.bit_count():
         return
@@ -405,7 +400,7 @@ def _prefixes(
         value = _upper(upper, chosen, wanted - size, memo, width)
         nodes += value % field  # the sum of the coefficients
         if nodes > budget:
-            raise BudgetError(f"search node budget exceeded ({budget})", estimate=budget, partial=({}, None, nodes))
+            raise BudgetError(f"search node budget exceeded ({budget})", nodes, ({}, None, nodes))
         yield upper, chosen, size, value
 
 
@@ -565,19 +560,15 @@ def enumerate_sum_free(
     n: int,
     m: Optional[int] = None,
     allow_equal: bool = ALLOW_EQUAL_DEFAULT,
-    stream_budget: int = DEFAULT_STREAM_BUDGET,
+    node_budget: int = DEFAULT_LISTING_BUDGET,
 ) -> Iterator[IntSet]:
     """Yield each matching sum-free set exactly once, in ascending set order.
 
-    The expected output size is counted first; a BudgetError is raised
-    before streaming when it exceeds stream_budget.
+    The sets are counted first by count_sum_free(n, m) under node_budget,
+    in its unit: the sum-free sets of size <= m, the nodes the listing may
+    walk.  A count past it refuses (BudgetError) before streaming.
     """
-    expected = count_sum_free(n, m, allow_equal=allow_equal).total
-    if expected > stream_budget:
-        raise BudgetError(
-            f"enumeration would stream {expected} sets (> budget {stream_budget})",
-            estimate=expected,
-        )
+    count_sum_free(n, m, allow_equal=allow_equal, node_budget=node_budget)
     nodes = _walk(_universe_bits(n, None), 0, allow_equal, m, m is not None)
     return (IntSet.from_bits(n, chosen) for _allowed, chosen, size in nodes if m is None or size == m)
 
@@ -688,7 +679,7 @@ def stratified_counts(
     except BudgetError as err:
         joint = _halves(joint)
         partial = ({m: sum(joint.values())} if joint else {}, joint, err.partial[2])
-        raise BudgetError(str(err), node_budget, partial) from None
+        raise BudgetError(str(err), err.estimate, partial) from None
     joint, odd_joint = _halves(joint), _halves(odd_joint)
     return StratifiedCounts(n, m, sum(joint.values()), joint, odd_joint)
 

@@ -13,21 +13,22 @@ counts its additions, p_star its k ell table cells.
 The restricted counters answer "how many of those sets also have a small
 sumset".  No closed form is known, so they enumerate the candidate sets
 down a descending-largest-part tree with sum/size pruning and filter by
-the exact |S+S| of each candidate.  Enumeration is refused (BudgetError)
-when the candidate count exceeds the configured budget, or, for
-count_small_sumset_sets, once its pruned search tests more candidates
-against the cap than the budget; results are exact integers, never
-truncated.
+the exact |S+S| of each candidate.  One budget bounds both steps: the
+p*(k, ell) table that counts the candidates, and then the candidates,
+each refused (BudgetError) before any set is enumerated.
+count_small_sumset_sets refuses once its pruned search tests more
+candidates against the cap than the budget.  Both trees recurse once per
+part, so a search deeper than refuse_deeper allows refuses before it
+starts.  Results are exact integers, never truncated.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
+from math import isqrt
 from typing import Iterator, Optional
 
-from .enumeration import STACK_HEADROOM
-from .errors import BudgetError
+from .errors import BudgetError, refuse_deeper
 from .intset import bits_of
 from .sumsets import sumsetbits
 
@@ -41,20 +42,20 @@ def p(k: int, budget: int = DEFAULT_BUDGET) -> int:
 
     p(s) is the signed sum of p(s - g) over the generalized pentagonal
     numbers g = i(3i -/+ 1)/2 <= s, sign (-1)^(i+1).  The table up to k
-    takes sum over g <= k of (k + 1 - g) additions, about 1.09 k^1.5; past
-    `budget` of them it refuses (BudgetError) before adding, whatever an
+    takes sum over g <= k of (k + 1 - g) additions, about 1.09 k^1.5, in
+    closed form: i(3i - 1)/2 summed over i <= I is I^2 (I + 1)/2, and
+    i(3i + 1)/2 summed is I (I + 1)^2/2.  Past `budget` of them it refuses
+    (BudgetError, with that count as estimate) before adding, whatever an
     earlier call already holds.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    pentagonal, additions, i = [], 0, 1
-    while i * (3 * i - 1) // 2 <= k:
-        for g in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2):
-            additions += max(k + 1 - g, 0)
-            pentagonal.append((g, i % 2))
-        if additions > budget:
-            raise BudgetError(f"p({k}) takes more than {budget} additions")
-        i += 1
+    root = isqrt(24 * k + 1)
+    minus, plus = (root + 1) // 6, (root - 1) // 6  # the i with i(3i - 1)/2 <= k, and those with i(3i + 1)/2 <= k
+    additions = (minus + plus) * (k + 1) - minus**2 * (minus + 1) // 2 - plus * (plus + 1) ** 2 // 2
+    if additions > budget:
+        raise BudgetError(f"p({k}) takes {additions} additions, past the budget ({budget})", estimate=additions)
+    pentagonal = [(i * (3 * i + sign) // 2, i % 2) for i in range(1, minus + 1) for sign in (-1, 1)]
     for s in range(len(_p_cache), k + 1):
         total = 0
         for g, positive in pentagonal:
@@ -106,11 +107,16 @@ def iter_distinct_sets(k: int, ell: int, max_part: Optional[int] = None) -> Iter
 
     Parts are bounded by max_part when given.  The tree branches on the
     largest part in descending order and prunes branches whose remaining
-    sum is infeasible for the remaining number of parts.
+    sum is infeasible for the remaining number of parts.  It recurses once
+    per part, so when some set exists (ell distinct parts up to the bound
+    reach every sum from 1 + ... + ell to the ell largest), an ell deeper
+    than refuse_deeper allows refuses before the first set.
     """
     if k < 0 or ell < 0:
         raise ValueError("k and ell must be >= 0")
     cap = k if max_part is None else min(max_part, k)
+    if ell * (ell + 1) <= 2 * k <= ell * (2 * cap - ell + 1):
+        refuse_deeper(ell)
     yield from _distinct_rec(k, ell, cap)
 
 
@@ -134,10 +140,10 @@ def sumset_size_profile(
 
     One enumeration pass answers every sumset-cap query for this (k, ell):
     the count under a cap is the mass of the sizes up to it.  It refuses
-    (BudgetError) before enumerating when the candidates, p*(k, ell), pass
-    `budget`.
+    (BudgetError) before enumerating when the candidates, p*(k, ell), or
+    the table cells that count them pass `budget`.
     """
-    candidates = _candidates(k, ell, budget)
+    candidates = p_star(k, ell, budget)
     if candidates > budget:
         raise BudgetError(f"instance too large for exact enumeration (about {candidates} candidates)",
                           estimate=candidates)
@@ -157,11 +163,10 @@ def count_restricted(
     """Exact number of ell-element sets summing to k with |S+S| <= sumset_cap.
 
     Parts are additionally bounded by universe_cap when given.  Without any
-    constraint the count equals p_star(k, ell), computed like the candidate
-    count (see _candidates).
+    constraint the count is p_star(k, ell, budget), the candidate count.
     """
     if sumset_cap is None and universe_cap is None:
-        return _candidates(k, ell, budget)
+        return p_star(k, ell, budget)
     profile = sumset_size_profile(k, ell, universe_cap, budget)
     return sum(c for size, c in profile.items() if sumset_cap is None or size <= sumset_cap)
 
@@ -169,7 +174,9 @@ def count_restricted(
 def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of m-element subsets of {1, ..., n} with |S+S| <= cap.
 
-    Searches ascending with an incremental sumset bitmap; a branch dies as
+    It is 0, before any search or refusal, when m > n or when m >= 1 and
+    cap < 2m - 1: every m-set has |S+S| >= 2m - 1.  Otherwise it searches
+    ascending with an incremental sumset bitmap; a branch dies as
     soon as the partial sumset already exceeds the cap (subsets only grow
     their sumsets).  The nodes of that pruned tree are the subsets S with
     |S+S| <= cap and room for m - |S| larger elements; at each node below
@@ -180,22 +187,20 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
     bounds the work: one unit for the root (the empty set), one per
     candidate tested and one per m-set counted in closed form, charged at
     each node before its candidates are scanned.  Past it the search
-    refuses, with (sets found, units spent) as partial, so no scan outruns
-    the budget, however large n is.  The search recurses once per element,
-    so an m <= n above the recursion limit less STACK_HEADROOM refuses
-    before searching, with (0, 0) as partial.
+    refuses, with the units spent as estimate and (sets found, units spent)
+    as partial, so no scan outruns the budget, however large n is.  The
+    search recurses once per element, so an m deeper than refuse_deeper
+    allows refuses before searching, with (0, 0) as partial.
     """
     if n < 1 or m < 0 or cap < 0:
         raise ValueError("need n >= 1, m >= 0, cap >= 0")
-    limit = sys.getrecursionlimit()
-    if limit - STACK_HEADROOM < m <= n:
-        raise BudgetError(
-            f"search depth {m} exceeds the interpreter's recursion limit ({limit})", estimate=budget, partial=(0, 0)
-        )
+    if m > n or 0 < m and cap < 2 * m - 1:  # |S+S| >= 2|S| - 1
+        return 0
+    refuse_deeper(m, (0, 0))
     found, work = int(m == 0), 1  # the root
 
     def refuse() -> None:
-        raise BudgetError(f"search budget exceeded ({budget} candidates)", estimate=budget, partial=(found, work))
+        raise BudgetError(f"search budget exceeded ({budget} candidates)", estimate=work, partial=(found, work))
 
     def rec(start: int, picked: int, bits: int, ss: int) -> None:
         nonlocal found, work
@@ -225,16 +230,6 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
 
     if work > budget:
         refuse()
-    if 0 < m <= n:
+    if m:
         rec(1, 0, 0, 0)
     return found
-
-
-def _candidates(k: int, ell: int, budget: int) -> int:
-    """p*(k, ell) on a table of up to max(budget, DEFAULT_BUDGET) cells.
-
-    A budget above the default admits a larger table; one below it still
-    sizes the enumeration, so its refusal reports the candidate estimate.
-    """
-    return p_star(k, ell, max(budget, DEFAULT_BUDGET))
-

@@ -337,19 +337,18 @@ def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAU
     walking, the table sums _p_star_row(kmax, ell) in ascending ell and
     refuses (BudgetError) once that total passes `budget`.  Each row takes
     kmax ell table cells; before building any row, the table refuses when
-    its widest one passes max(budget, DEFAULT_BUDGET) cells.  A negative
-    kmax or ellmax raises ValueError.
+    its widest one passes `budget` cells.  A negative kmax or ellmax raises
+    ValueError.
     """
     if kmax < 0 or ellmax < 0:
         raise ValueError(f"need kmax >= 0 and ellmax >= 0, not {kmax}, {ellmax}")
     ells = range(1, min(ellmax, isqrt(2 * kmax)) + 1)  # past isqrt(2 kmax), ell(ell+1)/2 > kmax: no ell-set fits
-    row_budget = max(budget, DEFAULT_BUDGET)
-    if ells and kmax * ells[-1] > row_budget:
+    if ells and kmax * ells[-1] > budget:
         raise BudgetError(f"the ratio table's widest row, p*({kmax}, {ells[-1]}), takes {kmax * ells[-1]} table cells, "
-                          f"past the budget ({row_budget})", estimate=kmax * ells[-1])
+                          f"past the budget ({budget})", estimate=kmax * ells[-1])
     candidates = 0
     for ell in ells:
-        candidates += sum(_p_star_row(kmax, ell, row_budget))
+        candidates += sum(_p_star_row(kmax, ell, budget))
         if candidates > budget:
             raise BudgetError(f"the ratio table walks at least {candidates} candidate sets, past the budget ({budget})",
                               estimate=candidates)

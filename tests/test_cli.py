@@ -176,6 +176,15 @@ def test_budget_zero_refuses(capsys):
         assert (code, out) == (3, "") and "budget" in err, argv
 
 
+def test_refusals_name_the_budget_given_or_the_recursion_limit(capsys):
+    # enumerate counted under the default node budget first: it worked for seconds and named 200000000; the deep
+    # restricted query, one set of 1000 parts, recursed into a RecursionError ("resource error:")
+    code, out, err = run(["enumerate", "--n", "48", "--budget", "10"], capsys)
+    assert (code, out, err) == (3, "", "budget error: search node budget exceeded (10)\n")
+    code, out, err = run("restricted --k 500500 --ell 1000 --sumset-cap 1000000 --budget 1000000000".split(), capsys)
+    assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:") and "recursion limit" in err
+
+
 def test_cache_replay_byte_identical(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ["count", "--n", "16", "--m", "5", "--cache", cache]
@@ -518,9 +527,10 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_smallsumset_budget_holds_on_large_n():
-    # the search scanned every v up to n, counting only the ones that fit the cap toward the budget
+    # the search scanned every v up to n, counting only the ones that fit the cap toward the budget; a cap below
+    # 2m - 1 fits no m-set and answers 0 without searching
     env = {"PYTHONPATH": str(Path(sumfree.__file__).resolve().parents[1])}
-    for argv, code in (("--m 2 --cap 2", 3), ("--m 3 --cap 0", 0), ("--m 1 --cap 5", 3)):
+    for argv, code in (("--m 3 --cap 5", 3), ("--m 2 --cap 2", 0), ("--m 3 --cap 0", 0), ("--m 1 --cap 5", 3)):
         cmd = [sys.executable, "-m", "sumfree.cli", "smallsumset", "--n", "1000000000", "--budget", "10", *argv.split()]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=30)
         assert proc.returncode == code, (argv, proc.stderr)

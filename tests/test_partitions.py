@@ -161,11 +161,38 @@ def test_count_restricted_against_filter_oracle():
 
 
 def test_budget_error_reports_estimate():
+    # a budget below the p* table's k ell cells refuses on them; one above, on the candidates.  The table took up
+    # to 10^7 cells whatever the budget, so (1000, 2) answered 499 within a budget of 1000
+    with pytest.raises(BudgetError) as err:
+        count_restricted(1000, 2, sumset_cap=5000, budget=1000)
+    assert err.value.estimate == 2000 and "2000 table cells" in str(err.value)
+    assert count_restricted(1000, 2, sumset_cap=5000, budget=2000) == 499
     with pytest.raises(BudgetError) as err:
         count_restricted(200, 10, sumset_cap=30, budget=100)
+    assert err.value.estimate == 2000
+    with pytest.raises(BudgetError) as err:
+        count_restricted(200, 10, sumset_cap=30, budget=2000)
     assert err.value.estimate == p_star(200, 10)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         count_small_sumset_sets(60, 20, 100, budget=1000)
+    assert err.value.estimate == err.value.partial[1] > 1000
+    # p(k) refused without an estimate; it is the exact number of additions of the pentagonal recurrence
+    for k in (0, 1, 2, 5, 100, 4321):
+        pentagonal = [i * (3 * i + sign) // 2 for i in range(1, k + 1) for sign in (-1, 1)]
+        additions = sum(k + 1 - g for g in pentagonal if g <= k)
+        assert p(k, budget=additions) == p(k)
+        with pytest.raises(BudgetError) as err:
+            p(k, budget=additions - 1)
+        assert err.value.estimate == additions, k
+
+
+def test_distinct_parts_deeper_than_the_stack_refuse():
+    # one set of 1000 parts sums to 500500: the tree recursed once per part into a RecursionError
+    with pytest.raises(BudgetError, match="recursion limit") as err:
+        count_restricted(500500, 1000, sumset_cap=10**6, budget=10**9)
+    assert err.value.estimate is None
+    # no set: nothing to recurse into, nothing refused
+    assert list(iter_distinct_sets(10, 1000)) == list(iter_distinct_sets(500500, 1000, max_part=999)) == []
 
 
 def test_restricted_counts_take_a_budget_above_the_default():
@@ -189,6 +216,12 @@ def test_count_small_sumset_sets_examples():
     assert count_small_sumset_sets(6, 2, 3) == 15  # every pair has |S+S| = 3
     assert count_small_sumset_sets(4, 3, 5) == 2  # {1,2,3} and {2,3,4}
     assert count_small_sumset_sets(4, 3, 4) == 0  # |S+S| >= 2m - 1 = 5
+    # so a cap below 2m - 1, or an m above n, counts 0 without a search or a refusal; this one refused at budget 0
+    assert count_small_sumset_sets(10**6, 3, 4, budget=0) == 0
+    assert count_small_sumset_sets(10**6, 10**6 + 1, 10**9, budget=0) == 0
+    assert count_small_sumset_sets(20, 3, 5) == sum(20 - 2 * d for d in range(1, 10))  # cap 2m - 1: the progressions
+    with pytest.raises(BudgetError):
+        count_small_sumset_sets(20, 3, 5, budget=0)
 
 
 def test_count_small_sumset_sets_against_combinations():
@@ -223,19 +256,19 @@ def test_count_small_sumset_sets_budgets_visited_nodes():
     # the budget counted only the nodes, the candidates that fit the cap: 8,207 of the 30,851 units here
     expected = sum(1 for s in combinations(range(1, 21), 6) if len(sumset(s)) <= 13)
     assert count_small_sumset_sets(20, 6, 13, budget=40_000) == expected == 245
-    for n, m, cap in ((20, 6, 13), (8, 3, 6), (9, 4, 9), (7, 0, 0), (6, 1, 2), (12, 2, 0), (30, 3, 6)):
+    for n, m, cap in ((20, 6, 13), (8, 3, 6), (9, 4, 9), (7, 0, 0), (6, 1, 2), (12, 3, 5), (30, 3, 6)):
         work = pruned_search_work(n, m, cap)
         count = count_small_sumset_sets(n, m, cap, budget=work)
         with pytest.raises(BudgetError) as err:
             count_small_sumset_sets(n, m, cap, budget=work - 1)
         found, spent = err.value.partial
-        assert err.value.estimate == work - 1 and spent >= work and found <= count, (n, m, cap)
+        assert err.value.estimate == spent >= work and found <= count, (n, m, cap)
 
 
 def test_small_sumset_budget_counts_the_candidates_that_miss_the_cap():
-    # only the candidates that fit the cap were counted: this returned 0 after testing about 4.5 million
+    # only the candidates that fit the cap were counted: (300, 3, 3) returned 0 after testing about 4.5 million
     with pytest.raises(BudgetError) as err:
-        count_small_sumset_sets(300, 3, 3, budget=10**5)
+        count_small_sumset_sets(300, 4, 7, budget=10**5)
     assert err.value.partial[1] <= 10**5 + 300
 
 
@@ -248,8 +281,8 @@ def test_small_sumset_search_deeper_than_the_stack_refuses_before_searching():
     sys.setrecursionlimit(400)
     try:
         with pytest.raises(BudgetError):
-            count_small_sumset_sets(3000, 301, 0)
-        assert count_small_sumset_sets(3000, 300, 0) == 0  # cap 0: no element fits, no recursion
+            count_small_sumset_sets(3000, 301, 10**8)
+        assert count_small_sumset_sets(3000, 301, 0) == 0  # cap 0 < 2m - 1: no set, no recursion
         assert count_small_sumset_sets(300, 301, 10**8) == 0  # no 301-subset of {1, ..., 300}
     finally:
         sys.setrecursionlimit(limit)
