@@ -68,7 +68,7 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .core import ALLOW_EQUAL_DEFAULT, _even_mask, _half
-from .errors import STACK_HEADROOM, BudgetError, refuse_deeper
+from .errors import STACK_HEADROOM, BudgetError, over_budget, refuse_deeper
 from .intset import IntSet, coerce_bits, iter_bits
 
 DEFAULT_NODE_BUDGET = 2 * 10**8
@@ -341,12 +341,12 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
     Every subset of the universe's odd elements is sum-free under both
     conventions, and so is every subset of its elements above half its
     largest.  So the count covers at least sum_{j <= wanted} C(u, j) nodes,
-    u the larger of those two element counts, and it refuses with that sum
-    (its terms added until it passes the budget) as estimate and in
-    partial.  That sum is at most 2^u <= 2^|universe|, so a budget of at
+    u the larger of those two element counts, and it refuses in tree
+    nodes with that sum (its terms added until it passes the budget) as
+    estimate.  That sum is at most 2^u <= 2^|universe|, so a budget of at
     least 2^|universe| passes it without summing.  The upper solver
     recurses once per chosen element, so a wanted deeper than
-    refuse_deeper allows refuses too, with the same partial.
+    refuse_deeper allows refuses too.
     """
     if budget >> ubits.bit_count() > 0 and wanted <= sys.getrecursionlimit() - STACK_HEADROOM:
         return  # 2^|universe| <= budget, and refuse_deeper would pass
@@ -359,8 +359,8 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
         if bound > budget:
             break
     if bound > budget:
-        raise BudgetError(f"search node budget exceeded ({budget})", bound, ({}, None, bound))
-    refuse_deeper(wanted, ({}, None, bound))
+        raise over_budget(bound, budget, "tree nodes")
+    refuse_deeper(wanted)
 
 
 def _prefixes(
@@ -381,9 +381,9 @@ def _prefixes(
     prefix and is not walked, and a universe smaller than `wanted` yields
     nothing, before any refusal.  Every sum-free set is one prefix plus one
     completion, so the coefficient sums add up to the count's nodes.  A
-    count past `budget` refuses here: before the walk when
+    count past `budget` refuses here, in tree nodes: before the walk when
     _refuse_unreachable does, and otherwise after the prefix that passes
-    it, with the nodes so far as estimate and in partial.
+    it, with the nodes so far as estimate.
     """
     if wanted > ubits.bit_count():
         return
@@ -400,7 +400,7 @@ def _prefixes(
         value = _upper(upper, chosen, wanted - size, memo, width)
         nodes += value % field  # the sum of the coefficients
         if nodes > budget:
-            raise BudgetError(f"search node budget exceeded ({budget})", nodes, ({}, None, nodes))
+            raise over_budget(nodes, budget, "tree nodes")
         yield upper, chosen, size, value
 
 
@@ -656,8 +656,9 @@ def stratified_counts(
     m - |prefix|) of its completions are all odd.  The tallies are keyed on
     (ell, 2k) and k becomes a Fraction at the end.  The budget and the
     refusals are count_sum_free(n, m)'s, on the same nodes, so strata
-    succeed and refuse at the same budgets as the count.  A refusal's
-    partial is (by_size, (ell, k) -> count so far, nodes).
+    succeed and refuse at the same budgets as the count, with the count's
+    error; its partial is the (ell, k) tallies so far, empty when it
+    refuses before the walk.
     """
     ubits = _universe_bits(n, None, m)
     cut = n // 2 + 1  # the elements x with 2x > n
@@ -677,9 +678,8 @@ def stratified_counts(
             if not chosen & ~odd:
                 odd_joint[size, k2] += comb((upper & high & odd).bit_count(), m - size)
     except BudgetError as err:
-        joint = _halves(joint)
-        partial = ({m: sum(joint.values())} if joint else {}, joint, err.partial[2])
-        raise BudgetError(str(err), err.estimate, partial) from None
+        err.partial = _halves(joint)
+        raise
     joint, odd_joint = _halves(joint), _halves(odd_joint)
     return StratifiedCounts(n, m, sum(joint.values()), joint, odd_joint)
 

@@ -7,19 +7,20 @@ the recurrence p*(k, ell) = p*(k - ell, ell - 1) + p*(k - ell, ell)
 (subtract one from every part; the smallest part either was 1 and vanishes
 or stays positive) and vanishes when k < ell(ell+1)/2.  _p_star_row holds
 p*(j, ell) for every j <= k on one row, so its sum counts the ell-sets with
-sum at most k.  Both refuse (BudgetError) a table past their budget: p
-counts its additions, p_star its k ell table cells.
+sum at most k.  Both refuse (errors.over_budget) a table past their
+budget: p in additions, p_star in its k ell table cells.
 
 The restricted counters answer "how many of those sets also have a small
 sumset".  No closed form is known, so they enumerate the candidate sets
 down a descending-largest-part tree with sum/size pruning and filter by
 the exact |S+S| of each candidate.  One budget bounds both steps: the
-p*(k, ell) table that counts the candidates, and then the candidates,
-each refused (BudgetError) before any set is enumerated.
-count_small_sumset_sets refuses once its pruned search tests more
-candidates against the cap than the budget.  Both trees recurse once per
-part, so a search deeper than refuse_deeper allows refuses before it
-starts.  Results are exact integers, never truncated.
+p*(k, ell) table that counts the candidates, in table cells, and then
+the candidate sets, each refused before any set is enumerated.
+count_small_sumset_sets refuses once its pruned search takes more search
+steps than the budget.  Every refusal is errors.over_budget's, in the
+unit named here.  Both trees recurse once per part, so a search deeper
+than refuse_deeper allows refuses before it starts.  Results are exact
+integers, never truncated.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import Counter
 from math import isqrt
 from typing import Iterator, Optional
 
-from .errors import BudgetError, refuse_deeper
+from .errors import over_budget, refuse_deeper
 from .intset import bits_of
 from .sumsets import sumsetbits
 
@@ -54,7 +55,7 @@ def p(k: int, budget: int = DEFAULT_BUDGET) -> int:
     minus, plus = (root + 1) // 6, (root - 1) // 6  # the i with i(3i - 1)/2 <= k, and those with i(3i + 1)/2 <= k
     additions = (minus + plus) * (k + 1) - minus**2 * (minus + 1) // 2 - plus * (plus + 1) ** 2 // 2
     if additions > budget:
-        raise BudgetError(f"p({k}) takes {additions} additions, past the budget ({budget})", estimate=additions)
+        raise over_budget(additions, budget, "additions")
     pentagonal = [(i * (3 * i + sign) // 2, i % 2) for i in range(1, minus + 1) for sign in (-1, 1)]
     for s in range(len(_p_cache), k + 1):
         total = 0
@@ -93,7 +94,7 @@ def _p_star_row(k: int, ell: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     if r < 0:
         return []
     if k * ell > budget:
-        raise BudgetError(f"p*({k}, {ell}) takes {k * ell} table cells, past the budget ({budget})", estimate=k * ell)
+        raise over_budget(k * ell, budget, "table cells")
     row = [0] * (r + 1)
     row[0] = 1
     for j in range(1, ell + 1):
@@ -145,8 +146,7 @@ def sumset_size_profile(
     """
     candidates = p_star(k, ell, budget)
     if candidates > budget:
-        raise BudgetError(f"instance too large for exact enumeration (about {candidates} candidates)",
-                          estimate=candidates)
+        raise over_budget(candidates, budget, "candidate sets")
     profile: Counter = Counter()
     for parts in iter_distinct_sets(k, ell, max_part):
         profile[sumsetbits(bits_of(parts)).bit_count()] += 1
@@ -184,23 +184,20 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
     candidate past 2 max(S) - min(S) adds the same number of sums, so those
     candidates all fit or none does: the search stops before them when none
     does and counts the m-sets among them in closed form.  The budget
-    bounds the work: one unit for the root (the empty set), one per
-    candidate tested and one per m-set counted in closed form, charged at
-    each node before its candidates are scanned.  Past it the search
-    refuses, with the units spent as estimate and (sets found, units spent)
-    as partial, so no scan outruns the budget, however large n is.  The
+    bounds the work in search steps: one for the root (the empty set), one
+    per candidate tested and one per m-set counted in closed form, charged
+    at each node before its candidates are scanned.  Past it the search
+    refuses, with the steps taken as estimate and the sets found so far as
+    partial, so no scan outruns the budget, however large n is.  The
     search recurses once per element, so an m deeper than refuse_deeper
-    allows refuses before searching, with (0, 0) as partial.
+    allows refuses before searching.
     """
     if n < 1 or m < 0 or cap < 0:
         raise ValueError("need n >= 1, m >= 0, cap >= 0")
     if m > n or 0 < m and cap < 2 * m - 1:  # |S+S| >= 2|S| - 1
         return 0
-    refuse_deeper(m, (0, 0))
+    refuse_deeper(m)
     found, work = int(m == 0), 1  # the root
-
-    def refuse() -> None:
-        raise BudgetError(f"search budget exceeded ({budget} candidates)", estimate=work, partial=(found, work))
 
     def rec(start: int, picked: int, bits: int, ss: int) -> None:
         nonlocal found, work
@@ -215,7 +212,7 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
                 kept, stop = stop - uniform, uniform
         work += kept + stop - start  # stop > start: an element fits below stop, and uniform > start
         if work > budget:
-            refuse()
+            raise over_budget(work, budget, "search steps", found)
         if picked == m - 1:  # the children are the m-sets: count them without descending
             for v in range(start, stop):
                 if (ss | (bits | 1 << v) << v).bit_count() <= cap:
@@ -229,7 +226,7 @@ def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDG
                 rec(v + 1, picked + 1, nb, nss)
 
     if work > budget:
-        refuse()
+        raise over_budget(work, budget, "search steps", found)
     if m:
         rec(1, 0, 0, 0)
     return found

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 from .core import ALLOW_EQUAL_DEFAULT, statistics_of
 from .enumeration import DEFAULT_NODE_BUDGET, stratified_counts, sum_free_ranking
-from .errors import BudgetError
+from .errors import over_budget
 from .intset import iter_bits
 
 #: heuristic windows for the scaled medians in trend tables
@@ -55,7 +55,7 @@ def _draws(
     if not (0 <= m <= n and count >= 0):
         raise ValueError("need 0 <= m <= n and count >= 0")
     if (nodes := count * (m + 1)) > node_budget:
-        raise BudgetError(f"{count} draws walk {nodes} tree nodes (> budget {node_budget})", estimate=nodes)
+        raise over_budget(nodes, node_budget, "tree nodes")
     total, unrank = sum_free_ranking(n, m, allow_equal, node_budget)
     if count and not total:
         raise ValueError(f"no sum-free {m}-subset of {{1, ..., {n}}} to draw")

@@ -50,7 +50,7 @@ from .bounds import (
     theorem_rhs,
 )
 from .enumeration import count_in_window, count_oracle, count_sum_free, enumerate_sum_free
-from .errors import BudgetError
+from .errors import over_budget
 from .intset import bits_of
 from .partitions import DEFAULT_BUDGET, _p_star_row, count_restricted, p, p_star
 from .sampling import draw_sum_free, parse_m_rule
@@ -334,24 +334,20 @@ def restricted_ratio_table(kmax: int = 90, ellmax: int = 12, budget: int = DEFAU
     its hypothesis range k <= ell^2.  Every cell's sumset-size profile
     comes from one walk (_sumset_profiles) over its candidates, the sets
     counted by p*(k, ell) for k <= kmax and 1 <= ell <= ellmax.  Before
-    walking, the table sums _p_star_row(kmax, ell) in ascending ell and
-    refuses (BudgetError) once that total passes `budget`.  Each row takes
-    kmax ell table cells; before building any row, the table refuses when
-    its widest one passes `budget` cells.  A negative kmax or ellmax raises
-    ValueError.
+    walking, the table sums the rows _p_star_row(kmax, ell), widest first,
+    and refuses once that total passes `budget` candidate sets.  Each row
+    takes kmax ell table cells, refused past `budget` before it is built,
+    so a table too wide refuses on its widest row before building any.  A
+    negative kmax or ellmax raises ValueError.
     """
     if kmax < 0 or ellmax < 0:
         raise ValueError(f"need kmax >= 0 and ellmax >= 0, not {kmax}, {ellmax}")
     ells = range(1, min(ellmax, isqrt(2 * kmax)) + 1)  # past isqrt(2 kmax), ell(ell+1)/2 > kmax: no ell-set fits
-    if ells and kmax * ells[-1] > budget:
-        raise BudgetError(f"the ratio table's widest row, p*({kmax}, {ells[-1]}), takes {kmax * ells[-1]} table cells, "
-                          f"past the budget ({budget})", estimate=kmax * ells[-1])
     candidates = 0
-    for ell in ells:
+    for ell in reversed(ells):  # widest first: a table too wide for the budget refuses before building any row
         candidates += sum(_p_star_row(kmax, ell, budget))
         if candidates > budget:
-            raise BudgetError(f"the ratio table walks at least {candidates} candidate sets, past the budget ({budget})",
-                              estimate=candidates)
+            raise over_budget(candidates, budget, "candidate sets")
     profiles = _sumset_profiles(kmax, ellmax)
     rows = []
     for ell in ells:

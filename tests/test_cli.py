@@ -126,23 +126,23 @@ def test_ratio_table_refuses_before_walking(capsys, monkeypatch):
     with pytest.raises(BudgetError):
         verify.restricted_ratio_table(10_000)
     code, out, err = run(["restricted", "--k", "10000", "--ratio-table"], capsys)
-    assert (code, out, err.count("\n")) == (3, "", 1), err
-    assert "ratio table walks at least 25005000 candidate sets" in err, err
+    widest = sum(verify._p_star_row(10_000, 12))  # the rows are summed widest first, and the first passes the budget
+    assert (code, out, err) == (3, "", f"budget error: needs at least {widest} candidate sets, past the budget "
+                                       "(10000000)\n"), err
 
 
 def test_ratio_table_refuses_a_wide_row_before_building_any(capsys):
     # at k = 10^7 the ell = 1 row of 10^7 ints was built and summed before the ell = 2 row refused, naming p*(k, 2)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match="ratio table"):
+        with pytest.raises(BudgetError, match="table cells"):
             verify.restricted_ratio_table(10_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
     code, out, err = run(["restricted", "--k", "10000000", "--ratio-table"], capsys)
-    assert (code, out, err.count("\n")) == (3, "", 1), err
-    assert "the ratio table's widest row, p*(10000000, 12), takes 120000000 table cells" in err, err
+    assert (code, out, err) == (3, "", "budget error: needs at least 120000000 table cells, past the budget (10000000)\n")
 
 
 def test_ratio_table_reads_ell_zero_and_refuses_negatives(capsys):
@@ -180,7 +180,7 @@ def test_refusals_name_the_budget_given_or_the_recursion_limit(capsys):
     # enumerate counted under the default node budget first: it worked for seconds and named 200000000; the deep
     # restricted query, one set of 1000 parts, recursed into a RecursionError ("resource error:")
     code, out, err = run(["enumerate", "--n", "48", "--budget", "10"], capsys)
-    assert (code, out, err) == (3, "", "budget error: search node budget exceeded (10)\n")
+    assert (code, out, err) == (3, "", "budget error: needs at least 25 tree nodes, past the budget (10)\n")
     code, out, err = run("restricted --k 500500 --ell 1000 --sumset-cap 1000000 --budget 1000000000".split(), capsys)
     assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("budget error:") and "recursion limit" in err
 
@@ -269,7 +269,7 @@ def test_args_file_skips_blank_lines(tmp_path, capsys):
     args_file = tmp_path / "budget.args"
     args_file.write_text("--budget=10\n\n  \n")
     code, out, err = run(["count", "--n", "20", f"@{args_file}"], capsys)
-    assert (code, out, err) == (3, "", "budget error: search node budget exceeded (10)\n"), err
+    assert (code, out, err) == (3, "", "budget error: needs at least 11 tree nodes, past the budget (10)\n"), err
     args_file.write_text("--budget=10\n# a comment\n")  # no comment syntax: a # line is an argument
     code, out, err = run(["count", "--n", "20", f"@{args_file}"], capsys)
     assert (code, out, err) == (2, "", "sumfree: error: unrecognized arguments: # a comment\n"), err
@@ -471,9 +471,10 @@ def test_values_past_the_float_range_exit_2(capsys):
 
 
 def test_trend_budget_reaches_strata_and_samples(capsys):
-    for n_list in ("20", "30"):  # both read the strata, on either side of the old sampling limit n = 26
+    for n_list, nodes in (("20", 11), ("30", 16)):  # both read the strata, either side of the old sampling limit n = 26
         code, out, err = run(["trend", "--n-list", n_list, "--budget", "1"], capsys)
-        assert (code, out, err) == (3, "", "budget error: search node budget exceeded (1)\n"), n_list
+        want = f"budget error: needs at least {nodes} tree nodes, past the budget (1)\n"
+        assert (code, out, err) == (3, "", want), n_list
 
 
 def test_trend_names_a_row_with_no_sets(capsys):

@@ -179,7 +179,7 @@ def test_nodes_count_the_tree_nodes_of_a_plain_walk():
                     assert count_sum_free(n, m, allow_equal=allow_equal, node_budget=nodes).nodes == nodes
                     with pytest.raises(BudgetError) as err:
                         count_sum_free(n, m, allow_equal=allow_equal, node_budget=nodes - 1)
-                    assert err.value.estimate == err.value.partial[2] >= nodes
+                    assert err.value.estimate >= nodes and err.value.partial is None
 
 
 def test_counts_leave_no_garbage_cycles():
@@ -314,7 +314,7 @@ def test_window_budgets_refuse_exactly_above_their_nodes():
                     assert window.count == profile.get(m, 0), (allow_equal, n, a, m)
                     with pytest.raises(BudgetError) as err:
                         count_in_window(n, a, m, allow_equal=allow_equal, node_budget=nodes - 1)
-                    assert err.value.estimate == err.value.partial[2] >= nodes, (allow_equal, n, a, m)
+                    assert err.value.estimate >= nodes and err.value.partial is None, (allow_equal, n, a, m)
 
 
 def test_upper_universes_match_oracle():
@@ -395,9 +395,9 @@ def test_enumerate_matches_sorted_brute_force():
 def test_enumerate_budget_checked_before_streaming():
     # the listing counted its sets under the default node budget of 2 * 10^8, then compared the total with its
     # own budget: a small budget at n = 48 worked for seconds and named the budget it was not given
-    with pytest.raises(BudgetError, match=r"budget exceeded \(10\)$") as err:
+    with pytest.raises(BudgetError, match=r"past the budget \(10\)$") as err:
         enumerate_sum_free(40, node_budget=10)
-    assert err.value.estimate == err.value.partial[2] > 10
+    assert err.value.estimate > 10 and err.value.partial is None
     assert len(list(enumerate_sum_free(12, 3, node_budget=count_sum_free(12, 3).nodes))) == 137
     with pytest.raises(BudgetError):
         enumerate_sum_free(12, 3, node_budget=count_sum_free(12, 3).nodes - 1)
@@ -406,7 +406,8 @@ def test_enumerate_budget_checked_before_streaming():
 def test_node_budget_error_carries_partial_progress():
     with pytest.raises(BudgetError) as err:
         count_sum_free(20, node_budget=50)
-    assert err.value.partial is not None
+    # how far the count got is its estimate, the nodes so far; no result was computed before the refusal
+    assert err.value.estimate > 50 and err.value.partial is None
 
 
 def test_node_budget_is_global_across_threads():
@@ -427,7 +428,7 @@ def test_hopeless_counts_refuse_before_searching():
     for query in queries:
         with pytest.raises(BudgetError) as err:
             query()
-        assert err.value.estimate == err.value.partial[2] > DEFAULT_NODE_BUDGET
+        assert err.value.estimate > DEFAULT_NODE_BUDGET and err.value.partial in (None, {})  # counts none, strata none
     # a search deeper than the interpreter's recursion limit refuses whatever the budget
     with pytest.raises(BudgetError):
         count_sum_free(3000, node_budget=10**1000)
@@ -466,7 +467,8 @@ def test_unreachable_counts_refuse_where_the_lower_bound_passes_the_budget():
                     try:
                         enumeration._refuse_unreachable(ubits, wanted, budget)
                     except BudgetError as err:
-                        assert refused and err.partial == ({}, None, bound), (ubits, wanted, budget)
+                        estimate = bound if bound > budget else None  # None: the depth rule
+                        assert refused and (err.estimate, err.partial) == (estimate, None), (ubits, wanted, budget)
                     else:
                         assert not refused, (ubits, wanted, budget)
     finally:
@@ -478,7 +480,9 @@ def test_budget_error_survives_pickling():
     assert (str(err), err.estimate, err.partial) == ("too big", 7, ({1: 2}, None, 3))
     with pytest.raises(BudgetError) as info:
         count_sum_free(28, threads=2, node_budget=1000)
-    assert info.value.estimate == info.value.partial[2] > 1000
+    assert info.value.estimate > 1000 and info.value.partial is None
+    err = pickle.loads(pickle.dumps(info.value))
+    assert (str(err), err.estimate, err.partial) == (str(info.value), info.value.estimate, None)
 
 
 def test_window_counts():
@@ -536,9 +540,9 @@ def test_strata_fit_in_the_budget_of_the_count():
                 for budget in {count.nodes - 1, count.total - 1}:
                     with pytest.raises(BudgetError) as err:
                         stratified_counts(n, m, allow_equal=allow_equal, node_budget=budget)
-                    by_size, joint, nodes = err.value.partial
-                    assert err.value.estimate == nodes > budget, (allow_equal, n, m, budget)
-                    assert by_size.get(m, 0) == sum(joint.values()) <= count.total, (allow_equal, n, m, budget)
+                    joint = err.value.partial
+                    assert err.value.estimate > budget, (allow_equal, n, m, budget)
+                    assert sum(joint.values()) <= count.total, (allow_equal, n, m, budget)
     # an m above n covers nothing and refuses nothing, as for counts
     assert stratified_counts(60, 61).total == count_sum_free(60, 61).total == 0
 
@@ -564,16 +568,14 @@ def test_sizes_above_the_universe_count_zero_at_any_budget():
 def test_strata_budget_refuses_with_partial_tallies():
     with pytest.raises(BudgetError) as err:
         stratified_counts(20, 5, node_budget=100)
-    by_size, strata, nodes = err.value.partial
-    assert isinstance(by_size, dict) and isinstance(strata, dict) and nodes > 100
+    assert isinstance(err.value.partial, dict) and err.value.estimate > 100
 
 
 def test_strata_refuse_past_the_budget_on_a_memo_hit():
     # the refusing prefix's high part was solved for an earlier prefix, so reading it checks no budget
     with pytest.raises(BudgetError) as err:
         stratified_counts(16, 8, node_budget=1658)
-    by_size, joint, nodes = err.value.partial
-    assert nodes > 1658 and by_size[8] == sum(joint.values()) == 2
+    assert err.value.estimate > 1658 and sum(err.value.partial.values()) == 2
 
 
 def test_stratified_examples():
