@@ -99,7 +99,7 @@ def statistics_of(values, n: int) -> Statistics:
         twice_k -= 2 * b.bit_length()
         low ^= b
     odd_flag = not bits & _even_mask(bits.bit_length())
-    return Statistics(m=bits.bit_count(), ell=ell, k=_half(twice_k), odd_flag=odd_flag)
+    return Statistics(bits.bit_count(), ell, _half(twice_k), odd_flag)
 
 
 def _half(t: int) -> Fraction:
@@ -167,4 +167,4 @@ def stability_profile(values, n: int) -> StabilityProfile:
         if held > best:
             best = held
         rest >>= 1
-    return StabilityProfile(schur_triples=triples, min_escape=bits.bit_count() - best)
+    return StabilityProfile(triples, bits.bit_count() - best)

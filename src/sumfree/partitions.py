@@ -11,11 +11,13 @@ sum at most k.  Both refuse (errors.over_budget) a table past their
 budget: p in additions, p_star in its k ell table cells.
 
 The restricted counters answer "how many of those sets also have a small
-sumset".  No closed form is known, so they enumerate the candidate sets
-down a descending-largest-part tree with sum/size pruning and filter by
-the exact |S+S| of each candidate.  One budget bounds both steps: the
-p*(k, ell) table that counts the candidates, in table cells, and then
-the candidate sets, each refused before any set is enumerated.
+sumset".  No closed form is known.  sumset_size_profile enumerates the
+candidate sets down a descending-largest-part tree with sum/size pruning
+and takes the exact |S+S| of each.  count_restricted walks the same tree
+with S+S carried as one bitmap and drops a branch once its sumset must
+pass the cap.  Each takes one budget, checked before any set is
+enumerated: first on the table cells of the p*(k, ell) table that counts
+the candidates, then on the candidate sets themselves.
 count_small_sumset_sets refuses once its pruned search takes more search
 steps than the budget.  Every refusal is errors.over_budget's, in the
 unit named here.  Both trees recurse once per part, so a search deeper
@@ -164,11 +166,44 @@ def count_restricted(
 
     Parts are additionally bounded by universe_cap when given.  Without any
     constraint the count is p_star(k, ell, budget), the candidate count.
+    Otherwise it refuses (BudgetError) when the table cells or the
+    candidates pass `budget`, as sumset_size_profile does, and then walks
+    the candidates down iter_distinct_sets' tree (largest part first, the
+    same sum and size bounds) with S+S carried as one bitmap.  A part a
+    below every part so far adds 2a and a + min(S), both below min(S+S),
+    so each part still to come adds at least two sums: a branch is dropped
+    as soon as its sums plus two per part to come pass the cap (no cap
+    means ell(ell+1)/2, the most an ell-set has).  The last part is what
+    is left of the sum.  The walk's leaves are among the candidates, so
+    the candidate refusal bounds its work too.
     """
+    candidates = p_star(k, ell, budget)
     if sumset_cap is None and universe_cap is None:
-        return p_star(k, ell, budget)
-    profile = sumset_size_profile(k, ell, universe_cap, budget)
-    return sum(c for size, c in profile.items() if sumset_cap is None or size <= sumset_cap)
+        return candidates
+    if candidates > budget:
+        raise over_budget(candidates, budget, "candidate sets")
+    cap = ell * (ell + 1) // 2 if sumset_cap is None else sumset_cap
+    top = k if universe_cap is None else min(universe_cap, k)
+    if ell * (ell + 1) <= 2 * k <= ell * (2 * top - ell + 1):
+        refuse_deeper(ell)
+    if ell == 0:
+        return int(k == 0 and cap >= 0)  # the empty set, with |S+S| = 0
+
+    def walk(k: int, ell: int, top: int, bits: int, ss: int) -> int:
+        if ell == 1:
+            return int(0 < k <= top and (ss | (bits | 1 << k) << k).bit_count() <= cap)
+        room = cap - 2 * (ell - 1)  # the ell - 1 parts after this one add two sums each
+        hi = min(top, k - ell * (ell - 1) // 2)
+        lo = -(-(2 * k + ell * (ell - 1)) // (2 * ell))  # ceil(k/ell + (ell-1)/2)
+        found = 0
+        for a in range(hi, max(lo, ell) - 1, -1):
+            nb = bits | 1 << a
+            nss = ss | nb << a
+            if nss.bit_count() <= room:
+                found += walk(k - a, ell - 1, a - 1, nb, nss)
+        return found
+
+    return walk(k, ell, top, 0, 0)
 
 
 def count_small_sumset_sets(n: int, m: int, cap: int, budget: int = DEFAULT_BUDGET) -> int:

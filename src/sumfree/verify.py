@@ -10,10 +10,11 @@ tests/test_acceptance.py and `sumfree verify` both run.  Each bound is
 Each check is exact or uses the frozen tolerance recorded next to it (log
 comparisons use bounds.REL_TOL, the gamma tail sums bounds.GAMMA_CAP).
 A check never grades a result by the code that made it:
-criterion 10's table comes from one walk over every small set of distinct
-parts, and its 40 spot checks recount their cells down the library's
-separate descending tree (count_restricted).  Frozen desk-scale
-calibrations (first exact run, then fixed; any later regression fails):
+criterion 10's table comes from one ascending, unpruned walk over every
+small set of distinct parts, and its 40 spot checks recount their cells
+down the library's separate descending tree, pruned on the cap
+(count_restricted).  Frozen desk-scale calibrations (first exact run,
+then fixed; any later regression fails):
 
 - count_growth: count(n)/2^(n/2) for even n in [10, 40] lies in [1, 14],
   increases through n = 36, and is flat within 0.2 afterwards (13.5, at
@@ -310,18 +311,25 @@ def _sumset_profiles(kmax: int, ellmax: int) -> defaultdict:
 
     One ascending walk visits each of those sets once, the empty set
     included: a child adds a part x above every part so far, within the sum
-    still left, and grows S+S by x plus each part so far, and 2x.  Every
-    node is tallied into its cell.
+    still left, and grows S+S by x plus each part so far, and 2x.  Each
+    child is tallied into its cell in its parent's loop, and walked only
+    when it may take another part: fewer than ellmax parts and room in the
+    sum for one above x.
     """
     profiles = defaultdict(Counter)
+    profiles[0, 0][0] = 1  # the empty set
 
     def walk(total: int, size: int, low: int, bits: int, ss: int) -> None:
-        profiles[total, size][ss.bit_count()] += 1
-        if size < ellmax:
-            for x in range(low, kmax - total + 1):
-                walk(total + x, size + 1, x + 1, bits | 1 << x, ss | (bits | 1 << x) << x)
+        size += 1
+        for x in range(low, kmax - total + 1):
+            nb = bits | 1 << x
+            nss = ss | nb << x
+            profiles[total + x, size][nss.bit_count()] += 1
+            if size < ellmax and 2 * x + 1 <= kmax - total:
+                walk(total + x, size, x + 1, nb, nss)
 
-    walk(0, 0, 1, 0, 0)
+    if ellmax:
+        walk(0, 0, 1, 0, 0)
     return profiles
 
 
@@ -372,10 +380,10 @@ def check_restricted_tables() -> tuple[bool, str]:
     only (outside it the bound is simply false at desk scale: ell = 3,
     k = 90, lam = 3 has 631 unconstrained sets versus (3e)^3 ~ 542).
     Ratio rows cover the full grid either way.  The table's profiles come
-    from one ascending walk with an incremental sumset; 40 rows drawn at
-    random are recounted by count_restricted, which enumerates each cell
-    down its descending largest-part tree and computes every |S+S| afresh,
-    so the two share no code.
+    from one ascending walk with an incremental sumset that tallies every
+    set; 40 rows drawn at random are recounted by count_restricted, which
+    walks each cell down its descending largest-part tree and drops a
+    branch once its sumset must pass the cap, so the two share no code.
     """
     rows = restricted_ratio_table(kmax=90)
     problems = []

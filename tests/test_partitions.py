@@ -18,7 +18,9 @@ from sumfree import (
     sumset,
     sumset_size_profile,
 )
+from sumfree.intset import bits_of
 from sumfree.partitions import _p_star_row
+from sumfree.sumsets import sumsetbits
 from sumfree.verify import _sumset_profiles
 
 
@@ -158,6 +160,18 @@ def test_count_restricted_against_filter_oracle():
             if len(s) == ell and len({a + b for a in s for b in s}) <= cap:
                 expected += 1
         assert count_restricted(k, ell, sumset_cap=cap) == expected
+
+
+def test_count_restricted_against_brute_force_grid():
+    # the pruned walk against every candidate's |S+S|; k = ell = 0 is the empty set, |S+S| = 0, so a negative cap drops it
+    for k in range(26):
+        for ell in range(7):
+            for universe_cap in (None, -1, 0, 3, 8, 30):
+                sizes = [sumsetbits(bits_of(s)).bit_count() for s in iter_distinct_sets(k, ell, universe_cap)]
+                for cap in (None, -1, 0, 1, 2 * ell - 2, 2 * ell - 1, 2 * ell, 3 * ell, ell * (ell + 1) // 2, 99):
+                    want = sum(1 for size in sizes if cap is None or size <= cap)
+                    assert count_restricted(k, ell, sumset_cap=cap, universe_cap=universe_cap) == want, (
+                        k, ell, universe_cap, cap)
 
 
 def test_budget_error_reports_estimate():
