@@ -28,11 +28,15 @@ less those a gap apart), when no gap fits (the binomial row, one power of
 1 + y) or when exactly one gap g fits (a product of path polynomials over
 the runs x, x + g, x + 2g, ...), and otherwise by branching on the minimum,
 keyed on the canonical translate, the one starting at span + 1, and on the
-gaps inside its difference set.  The memo lives for one call and stores
-upper states only: one entry per allowed set with a stored state, holding
-that set's difference set, computed once, and a table of the states that
-share it.  At n = 32 the 1,954 low prefixes reach 12,877 states on 2,773
-allowed sets, and the states grow about 3x for each +4 in n.  A prefix one
+gaps inside its difference set.  The memo stores upper states only, in one
+flat table keyed by one int, and holds one low subtree at a time: the
+prefixes with one smallest element come out in one run and almost no state
+recurs once it changes, so the table is cleared at each new smallest
+element.  The difference sets, one per canonical translate, are kept for
+the whole call.  At n = 32 the 1,954 low prefixes solve 13,172 states over
+their scopes, at most 3,710 at once, on 3,081 difference sets; the states
+grow about 3x for each +4 in n.  The full profile at n = 52 peaks at about
+130 MB, where a memo that kept every state took 440 MB.  A prefix one
 element short is not extended: any allowed element completes it.  A count
 that must cover more nodes than its budget, by a lower bound from the odd
 elements and the upper half, or recurse deeper than the interpreter
@@ -87,8 +91,10 @@ class CountResult:
     elapsed  -- wall seconds
     nodes    -- subsets inspected by the oracle; for the search, the tree
                 nodes covered: the sum-free sets of size <= m (all if m is None)
-    states   -- distinct upper states the memo solved and stored (0 for the
-                oracle)
+    states   -- upper states the memo solved and stored, summed over its
+                scopes, one per smallest element of the low prefixes: a
+                state solved again under a later smallest element counts
+                again (0 for the oracle)
 
     A size m above the universe's size counts 0 without searching or
     refusing, at any budget, with nodes and states 0.
@@ -217,7 +223,7 @@ def _differences(bits: int) -> int:
     return out
 
 
-def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int) -> int:
+def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, diffs: Optional[dict] = None) -> int:
     """By-size polynomial of the subsets of `allowed` with no two elements a gap apart, up to `wanted` elements.
 
     Coefficient j (bits [j*width, (j+1)*width)) counts those subsets of j
@@ -227,21 +233,25 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int) -> int:
     gaps; those inside allowed - allowed fit a pair.  wanted is capped at
     |allowed|.  Below 3 the polynomial is closed: 1, 1 + k y, and C(k, 2)
     pairs less those a gap apart (_pairs).  With no gap that fits it is
-    the binomial row of its size k, stored once per wanted under the
-    interval {k, ..., 2k - 1}; a single gap is tested with one AND.  With
-    exactly one gap that fits it is closed by _one_gap.  Any other state is
-    keyed on its canonical translate, the one starting at span + 1, and on
-    its gaps reduced to that translate's differences, and solved on its
-    minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)), which is
-    (1 + y) P(A - a) when a + gaps misses A.  The exclude chain A, A - a, ...
-    runs in a loop down to a solved or closed state and its states are
-    stored on the way back, so only the include branch recurses, and the
-    depth stays within `wanted`.  The memo has one entry per allowed set
-    with a stored state: its difference set, computed once, and a table
-    from gaps * width + wanted (wanted alone for a binomial row) to the
-    polynomial.  Every coefficient counts subsets of `allowed`, at most
-    2^(width - 2), so no field carries into the next.
+    the binomial row of its size k, stored once per wanted under gaps 0 and
+    the interval {k, ..., 2k - 1}; a single gap is tested with one AND.
+    With exactly one gap that fits it is closed by _one_gap.  Any other
+    state is keyed on its canonical translate, the one starting at
+    span + 1, and on its gaps reduced to that translate's differences, and
+    solved on its minimum a: P(A) = P(A - a) + y P(A - a - (a + gaps)),
+    which is (1 + y) P(A - a) when a + gaps misses A.  The exclude chain A,
+    A - a, ... runs in a loop down to a solved or closed state and its
+    states are stored on the way back, so only the include branch recurses,
+    and the depth stays within `wanted`.  `memo` is one flat table of
+    states, keyed (gaps * width + wanted) << width | allowed: wanted and
+    every element are below width, and two gaps or more make the first
+    factor at least 6 width, past every binomial row's.  `diffs` maps each
+    canonical translate to its difference set, computed once per table (a
+    fresh one when None).  Every coefficient counts subsets of `allowed`,
+    at most 2^(width - 2), so no field carries into the next.
     """
+    if diffs is None:
+        diffs = {}
     chain = []
     while True:
         k = allowed.bit_count()
@@ -254,37 +264,32 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int) -> int:
             break
         if gaps & gaps - 1:  # two gaps or more: the canonical translate, shifted 2 min - max - 1 (up one at 2 min = max)
             allowed = allowed << 1 >> 2 * (allowed & -allowed).bit_length() - 1 - allowed.bit_length()
-            entry = memo.get(allowed)
-            diffs = _differences(allowed) if entry is None else entry[0]
-            gaps &= diffs
+            differences = diffs.get(allowed)
+            if differences is None:
+                differences = diffs[allowed] = _differences(allowed)
+            gaps &= differences
         if not gaps & gaps - 1:  # at most one gap left
             if gaps and allowed & allowed >> gaps.bit_length() - 1:  # it fits: closed, not stored
                 value = _one_gap(allowed, gaps.bit_length() - 1, wanted, width)
                 break
-            allowed = ((1 << k) - 1) << k
-            entry = memo.get(allowed)
-            if entry is None:
-                entry = memo[allowed] = ((1 << k) - 2, {})  # differences 1, ..., k - 1
-            value = entry[1].get(wanted)
+            key = wanted << width | ((1 << k) - 1) << k
+            value = memo.get(key)
             if value is None:  # (1 + y)^k: its fields are C(k, j) < 2^width, so none carries
-                value = entry[1][wanted] = ((1 << width) + 1) ** k & (1 << width * (wanted + 1)) - 1
+                value = memo[key] = ((1 << width) + 1) ** k & (1 << width * (wanted + 1)) - 1
             break
-        if entry is None:
-            entry = memo[allowed] = (diffs, {})
-        table = entry[1]
-        key = gaps * width + wanted
-        value = table.get(key)
+        key = (gaps * width + wanted) << width | allowed
+        value = memo.get(key)
         if value is not None:
             break
         abit = allowed & -allowed
         rest = allowed ^ abit
         hit = rest & (gaps << (abit.bit_length() - 1))
-        include = hit and _upper(rest ^ hit, gaps, wanted - 1, memo, width)  # 0: no hit
-        chain.append((table, key, wanted, include))
+        include = hit and _upper(rest ^ hit, gaps, wanted - 1, memo, width, diffs)  # 0: no hit
+        chain.append((key, wanted, include))
         allowed = rest
-    for table, key, wanted, include in reversed(chain):
+    for key, wanted, include in reversed(chain):
         value += (include or value) << width
-        value = table[key] = value & (1 << width * (wanted + 1)) - 1
+        value = memo[key] = value & (1 << width * (wanted + 1)) - 1
     return value
 
 
@@ -363,8 +368,30 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
     refuse_deeper(wanted)
 
 
+class _Memo:
+    """The upper states of one scope, the difference sets of the whole count, and the states of the scopes dropped.
+
+    states   -- _upper's table, cleared by _prefixes at each new smallest
+                chosen element
+    diffs    -- _upper's difference sets, kept for the whole count
+    dropped  -- the states solved in the scopes already cleared
+    """
+
+    __slots__ = ("states", "diffs", "dropped")
+
+    def __init__(self) -> None:
+        self.states: dict = {}
+        self.diffs: dict = {}
+        self.dropped = 0
+
+    def scope(self) -> None:
+        """Drop the states: those of one smallest element almost never recur under the next."""
+        self.dropped += len(self.states)
+        self.states.clear()
+
+
 def _prefixes(
-    ubits: int, wanted: int, allow_equal: bool, budget: int, memo: dict, width: int, cut: Optional[int] = None
+    ubits: int, wanted: int, allow_equal: bool, budget: int, memo: _Memo, width: int, cut: Optional[int] = None
 ) -> Iterator[tuple[int, int, int, int]]:
     """Yield (upper, chosen, size, value) for each sum-free low prefix of ubits with at most `wanted` elements.
 
@@ -375,9 +402,13 @@ def _prefixes(
     keeping the high elements they leave alive: a prefix's `upper` set.
     Its completions are the subsets of that set with no two elements a
     chosen element apart, and `value` is their by-size polynomial up to
-    wanted - size elements, from _upper on `memo`.  A prefix one element
-    short is not extended: any allowed element, low or high, completes it,
-    so its upper set is all it allows.  A universe with no low part is one
+    wanted - size elements, from _upper on `memo`.  The prefixes with one
+    smallest element, a subtree, come out in one run, and almost no upper
+    state recurs once it changes, so the memo's states are dropped at each
+    new smallest element and its difference sets kept: it holds about a
+    quarter of the states the count solves.  A prefix one element short is
+    not extended: any allowed element, low or high, completes it, so its
+    upper set is all it allows.  A universe with no low part is one
     prefix and is not walked, and a universe smaller than `wanted` yields
     nothing, before any refusal.  Every sum-free set is one prefix plus one
     completion, so the coefficient sums add up to the count's nodes.  A
@@ -395,9 +426,13 @@ def _prefixes(
     nodes = 0
     # kept: walking a universe with no low part took count_in_window from 3.97 to 4.36 µs per call
     walk = _walk(ubits, high, allow_equal, max(wanted - 1, 0), False) if ubits & ~high else ((ubits, 0, 0),)
+    smallest = 0
     for allowed, chosen, size in walk:
+        if chosen & -chosen != smallest:
+            smallest = chosen & -chosen
+            memo.scope()
         upper = allowed if size == wanted - 1 else allowed & high
-        value = _upper(upper, chosen, wanted - size, memo, width)
+        value = _upper(upper, chosen, wanted - size, memo.states, width, memo.diffs)
         nodes += value % field  # the sum of the coefficients
         if nodes > budget:
             raise over_budget(nodes, budget, "tree nodes")
@@ -435,7 +470,7 @@ def count_sum_free(
     width = n + 2
     field = (1 << width) - 1
     wanted = ubits.bit_count() if m is None else m
-    memo: dict = {}
+    memo = _Memo()
     value = 0
     for _upper_bits, _chosen, size, completions in _prefixes(ubits, wanted, allow_equal, node_budget, memo, width):
         value += completions << width * size
@@ -444,7 +479,7 @@ def count_sum_free(
     else:
         count = value >> width * m & field
         by_size = {m: count} if count else {}
-    states = sum(len(table) for _diffs, table in memo.values())
+    states = memo.dropped + len(memo.states)
     return CountResult(sum(by_size.values()), by_size, "memo", time.perf_counter() - t0, value % field, states)
 
 
@@ -459,13 +494,14 @@ def sum_free_ranking(
     the sets of all its low extensions, low elements being smaller, so the
     prefixes are ranked in post-order, each over its completions of size
     m; a rank picks its prefix by bisection and is unranked inside that
-    prefix's upper set (_unrank), on the memo the count left.  A uniform
-    rank gives an exactly uniform set.
+    prefix's upper set (_unrank), on the memo the count left, which holds
+    the last smallest element's states; the others are solved again.  A
+    uniform rank gives an exactly uniform set.
     """
     ubits = _universe_bits(n, None, m)
     width = n + 2
     field = (1 << width) - 1
-    memo: dict = {}
+    memo = _Memo()
     listed, pending = [], []  # prefixes with completions, in listing order, and those whose extensions may follow
     for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, memo, width):
         while pending and pending[-1][2] >= size:  # no extension of it follows
@@ -485,7 +521,7 @@ def sum_free_ranking(
     return total, unrank
 
 
-def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: dict, width: int) -> int:
+def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: _Memo, width: int) -> int:
     """The bitmap of the subset at `rank`, in ascending set order, among the `wanted`-subsets of `allowed` with no
     two elements a gap apart.
 
@@ -496,8 +532,8 @@ def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: dict, width: 
     c only, never 2x: `allowed` is upper, so a chosen x exceeds the span of
     what is left above it and 2x exceeds its maximum (or equals it, without
     equal summands).  A prefix one element short passes all it allows,
-    upper or not; with one element wanted the rank just picks it.  Nearly
-    every count is read from the memo the count left.
+    upper or not; with one element wanted the rank just picks it.  The
+    counts are read from, or solved into, the memo the count left.
     """
     field = (1 << width) - 1
     chosen = 0
@@ -508,7 +544,7 @@ def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: dict, width: 
             xbit = bits & -bits
             bits ^= xbit
             child = bits & ~(gaps << xbit.bit_length() - 1)
-            below = _upper(child, gaps, wanted, memo, width) >> width * wanted & field
+            below = _upper(child, gaps, wanted, memo.states, width, memo.diffs) >> width * wanted & field
             if rank < below:
                 break
             rank -= below
@@ -613,7 +649,7 @@ def count_in_window(
     width = n + 2
     ubits = _universe_bits(n, None, m) >> lo << lo  # {lo, ..., n}, once n and m are checked
     count = 0
-    for _upper_bits, _chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, {}, width):
+    for _upper_bits, _chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, _Memo(), width):
         count += value >> width * (m - size) & (1 << width) - 1
     return WindowCount(count, lo, usize, Fraction(count, comb(usize, m)))
 
@@ -668,7 +704,7 @@ def stratified_counts(
     field = (1 << width) - 1
     joint, odd_joint = Counter(), Counter()  # keyed on (ell, 2k)
     try:
-        for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, {}, width, cut):
+        for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, _Memo(), width, cut):
             low = upper & ~high  # only one element short: each x in it completes a prefix of size m
             k2 = size * n - 2 * sum(iter_bits(chosen))  # 2k = sum (n - 2x)
             for x in iter_bits(low):

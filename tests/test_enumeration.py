@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -194,8 +195,9 @@ def test_counts_leave_no_garbage_cycles():
 
 
 def test_memo_states_are_reported():
-    # distinct upper states solved and stored; the oracle solves none
-    assert count_sum_free(32).states == 12_877
+    # upper states solved and stored, distinct within each of the memo's scopes (one per smallest element) and summed
+    # over them; the oracle solves none
+    assert count_sum_free(32).states == 13_172
     assert count_oracle(12).states == 0
     for n, m in ((20, None), (24, 6), (28, None), (28, 9)):
         first, again = count_sum_free(n, m), count_sum_free(n, m)
@@ -207,22 +209,55 @@ def test_memo_states_are_reported():
     assert count_sum_free(20, 6, range(10, 21)).states == 2
 
 
+def test_count_memo_holds_one_subtree():
+    # the states are dropped at each new smallest element: the full profile at n = 36 peaked at 6.5-6.9 MB traced
+    # while the memo kept every state until the count returned, and peaks at about 1.5 MB
+    tracemalloc.start()
+    try:
+        assert count_sum_free(36).total == 3_540_355
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 10**6, peak
+
+
 def test_memo_holds_no_entry_without_a_state(monkeypatch):
-    # an allowed set enters the memo only with a stored state, not when its states are closed forms
-    memos = []
-    prefixes = enumeration._prefixes
+    # every key of the state table, in every scope, is a state that is not a closed form: a binomial row (gaps 0,
+    # the interval {k, ..., 2k - 1}) or a canonical translate (starting at span + 1) with two gaps or more, all inside
+    # its difference set; the difference sets are those of their keys, and the scopes' states add up to `states`
+    memos, checked = [], []
+    prefixes, scope = enumeration._prefixes, enumeration._Memo.scope
 
     def spy(ubits, wanted, allow_equal, budget, memo, width):
-        memos.append(memo)
+        memos.append((memo, width))
         return prefixes(ubits, wanted, allow_equal, budget, memo, width)
 
+    def check_states(memo):
+        width = memos[-1][1]
+        for key in memo.states:
+            allowed, rest = key & (1 << width) - 1, key >> width
+            gaps, wanted = divmod(rest, width)
+            k = allowed.bit_count()
+            assert 3 <= wanted <= k, (key, width)
+            if gaps:
+                lo, hi = (allowed & -allowed).bit_length() - 1, allowed.bit_length() - 1
+                assert lo == hi - lo + 1 and gaps & gaps - 1 and not gaps & ~_differences(allowed), (key, width)
+            else:
+                assert allowed == ((1 << k) - 1) << k, (key, width)
+        checked.append(len(memo.states))
+        scope(memo)
+
     monkeypatch.setattr(enumeration, "_prefixes", spy)
+    monkeypatch.setattr(enumeration._Memo, "scope", check_states)
     for allow_equal in (True, False):
         for n in range(0, 33):
             for m in (None, n // 3, n // 2):
                 res = count_sum_free(n, m, allow_equal=allow_equal)
-                tables = [table for _diffs, table in memos.pop().values()]
-                assert all(tables) and sum(map(len, tables)) == res.states, (allow_equal, n, m)
+                memo, _width = memos[-1]
+                check_states(memo)
+                assert sum(checked) == res.states, (allow_equal, n, m)
+                assert all(memo.diffs[allowed] == _differences(allowed) for allowed in memo.diffs), (allow_equal, n, m)
+                checked.clear()
 
 
 def gap_avoiding_sizes(elements, gaps):
@@ -267,10 +302,10 @@ def test_upper_closes_states_wanting_two():
             elements = sorted(rng.sample(range(lo, hi + 1), min(hi - lo + 1, rng.randint(2, 11))))
             gaps = [g for g in range(1, lo) if rng.random() < 0.3]  # chosen below the set, some above its span
             sizes = gap_avoiding_sizes(elements, gaps)
-            memo = {}
-            value = _upper(sum(1 << v for v in elements), sum(1 << g for g in gaps), 2, memo, width)
+            memo, diffs = {}, {}
+            value = _upper(sum(1 << v for v in elements), sum(1 << g for g in gaps), 2, memo, width, diffs)
             assert value == sizes[0] + (sizes[1] << width) + (sizes[2] << 2 * width), (elements, gaps, strict)
-            assert memo == {}
+            assert memo == diffs == {}
 
 
 def test_upper_closes_states_with_one_gap():
@@ -296,7 +331,7 @@ def test_upper_closes_states_with_one_gap():
                         want = [sizes[j] for j in range(wanted + 1)]
                         got = [value >> width * j & (1 << width) - 1 for j in range(wanted + 1)]
                         assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, g, lo, wanted)
-                        assert sum(len(table) for _diffs, table in memo.values()) == (not closed), (elements, g)
+                        assert len(memo) == (not closed), (elements, g)
 
 
 def test_window_budgets_refuse_exactly_above_their_nodes():
