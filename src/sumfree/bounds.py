@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from math import exp, inf, lgamma, log
+from math import exp, inf, lgamma, log, log1p, pi
 from typing import Optional, Sequence
 
 from .intset import IntSet, coerce_bits, iter_bits
@@ -35,6 +35,7 @@ REL_TOL = 1e-9
 GAMMA_CAP = 2.0  # check_gamma_sum passes a tail sum up to this multiple of Gamma(a+1) / b^(a+1)
 GAMMA_MAX_TERMS = 10**5  # check_gamma_sum adds more than a / b terms, and refuses more than this
 LOG_FLOAT_MAX = log(sys.float_info.max)
+STIRLING_FROM = 2**16  # _ln_binom uses Stirling's series from here on, where its first dropped term is below 1e-16
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,29 @@ def log_binom(a: int, b: int) -> LogValue:
 
 
 def _ln_binom(a, b) -> float:
-    """ln C(a, b) as a float, for real a (the generalized binomial via log-gamma); -inf for b outside [0, a]."""
+    """ln C(a, b) as a float, for real a (the generalized binomial via log-gamma); -inf for b outside [0, a].
+
+    Below STIRLING_FROM it is lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1).  Past it the first two terms cancel:
+    lgamma(10^15) is about 3.4e16, where floats are 4 apart, while ln C(10^15, 3) is about 102.  So, with s the
+    smaller of b and a - b and x = a - s, Stirling's series gives their difference lgamma(x + s + 1) - lgamma(x + 1)
+    as s ln x + (x + s + 1/2) ln(1 + s/x) - s - s / (12 x (x + s)), which subtracts no two large terms.  Then
+    lgamma(s + 1) is subtracted, by Stirling's series too from STIRLING_FROM on, where s ln x could overflow.
+    """
     if b < 0 or b > a:
         return -inf
-    return lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
+    if a < STIRLING_FROM:
+        return lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
+    s = min(b, a - b)
+    x = a - s
+    rise = (x + s + 0.5) * log1p(s / x) - s - s / (12 * x) / (x + s)  # plus s ln x, the difference above
+    if s < STIRLING_FROM:
+        return s * log(x) + rise - lgamma(s + 1)
+    return s * log(x / s) + rise + s - 0.5 * (log(2 * pi) + log(s)) - 1 / (12 * s)
+
+
+def _ln_product(product: float, *factors) -> float:
+    """ln of `product`, the product of the positive `factors`: the sum of their logs where it overflows or underflows."""
+    return log(product) if 0 < product < inf else sum(map(log, factors))
 
 
 # ----------------------------------------------------------------------
@@ -277,17 +297,21 @@ def build_pair_graph(n: int, s_values, excluded=()) -> PairGraph:
 
 LN2 = log(2.0)
 #: each named bound: its parameters, the range of each one it takes the log of (lowest value, whether that
-#: value is allowed), and its log as a function of the parameters in their order
+#: value is allowed), and its log as a function of the parameters in their order; a zero binomial makes the log
+#: -inf whatever the other factor overflows to, and a product that overflows is logged as a sum (_ln_product)
 BOUNDS = {
-    "CEthm": (("n", "m", "C"), {"n": (0, True), "m": (1, True)}, lambda n, m, c: c * n / m * LN2 + _ln_binom((n + 1) // 2, m)),
+    "CEthm": (("n", "m", "C"), {"n": (0, True), "m": (1, True)},
+              lambda n, m, c: b if (b := _ln_binom((n + 1) // 2, m)) == -inf else c * n / m * LN2 + b),
     "S+S": (("k", "ell", "c", "delta"), {"k": (0, False), "ell": (0, True), "c": (0, False)},
             lambda k, ell, c, delta: delta * 0.0 if ell == 0
-            else delta * ell * LN2 + ell * (log(2 * c * k / 3) + 1 - 2 * log(ell))),
+            else delta * ell * LN2 + ell * (_ln_product(2 * c * k / 3, 2 / 3, c, k) + 1 - 2 * log(ell))),
     "S+S2": (("ell", "lam", "delta"), {"ell": (0, True), "lam": (0.75, False)},
-             lambda ell, lam, delta: delta * ell * LN2 + ell * (log((4 * lam - 3) / 6) + 1)),
+             lambda ell, lam, delta: delta * ell * LN2
+             + ell * (_ln_product((4 * lam - 3) / 6, lam, (4 - 3 / lam) / 6) + 1)),
     "parts": (("k", "ell"), {"k": (0, True), "ell": (0, True)},
               lambda k, ell: 0.0 if ell == 0 else -inf if k == 0 else ell * (2 + log(k) - 2 * log(ell))),
-    "conj": (("N", "m", "delta"), {}, lambda cap_n, m, delta: delta * m * LN2 + _ln_binom(cap_n / 2, m)),
+    "conj": (("N", "m", "delta"), {},
+             lambda cap_n, m, delta: b if (b := _ln_binom(cap_n / 2, m)) == -inf else delta * m * LN2 + b),
 }
 
 

@@ -19,20 +19,24 @@ form an upper set, in which no two elements (no two distinct ones) sum to
 a third, and the search chooses every low element before any high one.
 So a count walks the sum-free low prefixes one by one and multiplies each
 by its completions: the subsets of the high elements the prefix leaves
-alive with no two elements a chosen element apart, an upper state: the
-independent sets of the prefix's forbidden-pair graph on the top half,
-edges {x, x + s} for chosen s (bounds.build_pair_graph).  _upper counts them as a by-size
-generating polynomial packed into one integer (one n + 2 bit field per
-size): closed forms when at most 2 more elements are wanted (C(k, 2) pairs
-less those a gap apart), when no gap fits (the binomial row, one power of
-1 + y) or when exactly one gap g fits (a product of path polynomials over
-the runs x, x + g, x + 2g, ...), and otherwise by branching on the minimum,
-keyed on the canonical translate, the one starting at span + 1, and on the
-gaps inside its difference set.  The memo stores upper states only, in one
-flat table keyed by one int, and holds one low subtree at a time: the
-prefixes with one smallest element come out in one run and almost no state
-recurs once it changes, so the table is cleared at each new smallest
-element.  The difference sets, one per canonical translate, are kept for
+alive with no two elements a chosen element apart, an upper state.  For
+{1, ..., n} with n even under the default convention the upper set is the
+top half {n/2 + 1, ..., n} of bounds.build_pair_graph, and the
+completions are the independent sets of the prefix's forbidden-pair graph,
+edges {x, x + s} for chosen s; for odd n the upper set also holds
+(n + 1)/2, and without equal summands, for even n, n/2, which that graph
+leaves out.  _upper counts them as a by-size generating polynomial packed
+into one integer (one n + 2 bit field per size, the width the count's
+memo carries): closed forms when at most 2 more elements are wanted
+(C(k, 2) pairs less those a gap apart), when no gap fits (the binomial
+row, one power of 1 + y) or when exactly one gap g fits (a product of path
+polynomials over the runs x, x + g, x + 2g, ...), and otherwise by
+branching on the minimum, keyed on the canonical translate, the one
+starting at span + 1, and on the gaps inside its difference set.  The memo
+stores upper states only, in one flat table keyed by one int, and holds
+one low subtree at a time: the prefixes with one smallest element come
+out in one run and almost no state recurs once it changes, so the table
+is cleared at each new smallest element.  The difference sets, one per canonical translate, are kept for
 the whole call.  At n = 32 the 1,954 low prefixes solve 13,172 states over
 their scopes, at most 3,710 at once, on 3,081 difference sets; the states
 grow about 3x for each +4 in n.  The full profile at n = 52 peaks at about
@@ -47,7 +51,10 @@ nodes and states 0; a window or a draw of that size is a ValueError.  The
 same prefixes, taken in post-order, rank the sum-free m-sets:
 sum_free_ranking maps each rank below the count to the set of that rank
 in listing order, unranked inside its prefix's upper state, which is how
-the sampler draws exactly uniform sets.
+the sampler draws exactly uniform sets.  _prefixes yields each prefix's
+count of completions to m elements next to its polynomial, so windows,
+strata and the ranking read no field; only count_sum_free's unpacking
+and the unranking do.
 
 Listings need the sets themselves, so enumerate_sum_free walks the nodes
 one by one in ascending set order, skipping branches that cannot reach
@@ -223,7 +230,7 @@ def _differences(bits: int) -> int:
     return out
 
 
-def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, diffs: Optional[dict] = None) -> int:
+def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, diffs: dict) -> int:
     """By-size polynomial of the subsets of `allowed` with no two elements a gap apart, up to `wanted` elements.
 
     Coefficient j (bits [j*width, (j+1)*width)) counts those subsets of j
@@ -246,12 +253,10 @@ def _upper(allowed: int, gaps: int, wanted: int, memo: dict, width: int, diffs: 
     states, keyed (gaps * width + wanted) << width | allowed: wanted and
     every element are below width, and two gaps or more make the first
     factor at least 6 width, past every binomial row's.  `diffs` maps each
-    canonical translate to its difference set, computed once per table (a
-    fresh one when None).  Every coefficient counts subsets of `allowed`,
-    at most 2^(width - 2), so no field carries into the next.
+    canonical translate to its difference set, computed once per table.
+    Every coefficient counts subsets of `allowed`, at most 2^(width - 2),
+    so no field carries into the next.
     """
-    if diffs is None:
-        diffs = {}
     chain = []
     while True:
         k = allowed.bit_count()
@@ -369,20 +374,25 @@ def _refuse_unreachable(ubits: int, wanted: int, budget: int) -> None:
 
 
 class _Memo:
-    """The upper states of one scope, the difference sets of the whole count, and the states of the scopes dropped.
+    """One count's record: its polynomials' field width, its upper states and difference sets, and its work.
 
+    width    -- bits per coefficient of every by-size polynomial, n + 2
     states   -- _upper's table, cleared by _prefixes at each new smallest
                 chosen element
     diffs    -- _upper's difference sets, kept for the whole count
     dropped  -- the states solved in the scopes already cleared
+    nodes    -- the tree nodes the prefixes cover, set by _prefixes once
+                it has yielded them all
     """
 
-    __slots__ = ("states", "diffs", "dropped")
+    __slots__ = ("width", "states", "diffs", "dropped", "nodes")
 
-    def __init__(self) -> None:
+    def __init__(self, width: int) -> None:
+        self.width = width
         self.states: dict = {}
         self.diffs: dict = {}
         self.dropped = 0
+        self.nodes = 0
 
     def scope(self) -> None:
         """Drop the states: those of one smallest element almost never recur under the next."""
@@ -391,9 +401,9 @@ class _Memo:
 
 
 def _prefixes(
-    ubits: int, wanted: int, allow_equal: bool, budget: int, memo: _Memo, width: int, cut: Optional[int] = None
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (upper, chosen, size, value) for each sum-free low prefix of ubits with at most `wanted` elements.
+    ubits: int, wanted: int, allow_equal: bool, budget: int, memo: _Memo, cut: Optional[int] = None
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (upper, chosen, size, count, value) for each sum-free low prefix of ubits with at most `wanted` elements.
 
     The high elements are those from `cut` up, by default those x with
     2x > max(ubits), or 2x >= max without equal summands; they form an
@@ -401,9 +411,10 @@ def _prefixes(
     _walk lists them in ascending set order, each before its extensions,
     keeping the high elements they leave alive: a prefix's `upper` set.
     Its completions are the subsets of that set with no two elements a
-    chosen element apart, and `value` is their by-size polynomial up to
-    wanted - size elements, from _upper on `memo`.  The prefixes with one
-    smallest element, a subtree, come out in one run, and almost no upper
+    chosen element apart: `value` is their by-size polynomial up to
+    wanted - size elements, from _upper on `memo`, and `count` its last
+    coefficient, the completions to `wanted` elements.  The prefixes with
+    one smallest element, a subtree, come out in one run, and almost no upper
     state recurs once it changes, so the memo's states are dropped at each
     new smallest element and its difference sets kept: it holds about a
     quarter of the states the count solves.  A prefix one element short is
@@ -411,10 +422,10 @@ def _prefixes(
     upper set is all it allows.  A universe with no low part is one
     prefix and is not walked, and a universe smaller than `wanted` yields
     nothing, before any refusal.  Every sum-free set is one prefix plus one
-    completion, so the coefficient sums add up to the count's nodes.  A
-    count past `budget` refuses here, in tree nodes: before the walk when
-    _refuse_unreachable does, and otherwise after the prefix that passes
-    it, with the nodes so far as estimate.
+    completion, so the coefficient sums add up to the count's nodes, which
+    are left on the memo.  A count past `budget` refuses here, in tree
+    nodes: before the walk when _refuse_unreachable does, and otherwise
+    after the prefix that passes it, with the nodes so far as estimate.
     """
     if wanted > ubits.bit_count():
         return
@@ -422,6 +433,7 @@ def _prefixes(
     if cut is None:  # 2x > max(ubits), or 2x >= max without equal summands
         cut = (ubits.bit_length() + allow_equal) // 2
     high = ubits >> cut << cut
+    width = memo.width
     field = (1 << width) - 1
     nodes = 0
     # kept: walking a universe with no low part took count_in_window from 3.97 to 4.36 µs per call
@@ -436,7 +448,8 @@ def _prefixes(
         nodes += value % field  # the sum of the coefficients
         if nodes > budget:
             raise over_budget(nodes, budget, "tree nodes")
-        yield upper, chosen, size, value
+        yield upper, chosen, size, value >> width * (wanted - size) & field, value
+    memo.nodes = nodes
 
 
 def count_sum_free(
@@ -468,19 +481,17 @@ def count_sum_free(
     t0 = time.perf_counter()
     ubits = _universe_bits(n, universe, m)
     width = n + 2
-    field = (1 << width) - 1
     wanted = ubits.bit_count() if m is None else m
-    memo = _Memo()
+    memo = _Memo(width)
     value = 0
-    for _upper_bits, _chosen, size, completions in _prefixes(ubits, wanted, allow_equal, node_budget, memo, width):
+    for _upper_bits, _chosen, size, _count, completions in _prefixes(ubits, wanted, allow_equal, node_budget, memo):
         value += completions << width * size
-    if m is None:
-        by_size = {j: c for j, c in enumerate(value >> width * j & field for j in range(wanted + 1)) if c}
-    else:
-        count = value >> width * m & field
-        by_size = {m: count} if count else {}
+    field = (1 << width) - 1
+    sizes = range(wanted + 1) if m is None else (m,)
+    by_size = {j: value >> width * j & field for j in sizes}
+    by_size = {j: c for j, c in by_size.items() if c}
     states = memo.dropped + len(memo.states)
-    return CountResult(sum(by_size.values()), by_size, "memo", time.perf_counter() - t0, value % field, states)
+    return CountResult(sum(by_size.values()), by_size, "memo", time.perf_counter() - t0, memo.nodes, states)
 
 
 def sum_free_ranking(
@@ -499,14 +510,11 @@ def sum_free_ranking(
     uniform rank gives an exactly uniform set.
     """
     ubits = _universe_bits(n, None, m)
-    width = n + 2
-    field = (1 << width) - 1
-    memo = _Memo()
+    memo = _Memo(n + 2)
     listed, pending = [], []  # prefixes with completions, in listing order, and those whose extensions may follow
-    for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, memo, width):
+    for upper, chosen, size, count, _value in _prefixes(ubits, m, allow_equal, node_budget, memo):
         while pending and pending[-1][2] >= size:  # no extension of it follows
             listed.append(pending.pop())
-        count = value >> width * (m - size) & field
         if count:
             pending.append((upper, chosen, size, count))
     listed += reversed(pending)
@@ -516,12 +524,12 @@ def sum_free_ranking(
     def unrank(rank: int) -> int:
         i = bisect_right(starts, rank) - 1
         upper, chosen, size, _count = listed[i]
-        return chosen | _unrank(rank - starts[i], upper, chosen, m - size, memo, width)
+        return chosen | _unrank(rank - starts[i], upper, chosen, m - size, memo)
 
     return total, unrank
 
 
-def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: _Memo, width: int) -> int:
+def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: _Memo) -> int:
     """The bitmap of the subset at `rank`, in ascending set order, among the `wanted`-subsets of `allowed` with no
     two elements a gap apart.
 
@@ -535,6 +543,7 @@ def _unrank(rank: int, allowed: int, gaps: int, wanted: int, memo: _Memo, width:
     upper or not; with one element wanted the rank just picks it.  The
     counts are read from, or solved into, the memo the count left.
     """
+    width = memo.width
     field = (1 << width) - 1
     chosen = 0
     while wanted:
@@ -646,11 +655,10 @@ def count_in_window(
     usize = n - lo + 1
     if m > usize:
         raise ValueError(f"m = {m} exceeds the window size {usize}")
-    width = n + 2
     ubits = _universe_bits(n, None, m) >> lo << lo  # {lo, ..., n}, once n and m are checked
     count = 0
-    for _upper_bits, _chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, _Memo(), width):
-        count += value >> width * (m - size) & (1 << width) - 1
+    for _upper_bits, _chosen, _size, completions, _value in _prefixes(ubits, m, allow_equal, node_budget, _Memo(n + 2)):
+        count += completions
     return WindowCount(count, lo, usize, Fraction(count, comb(usize, m)))
 
 
@@ -700,17 +708,15 @@ def stratified_counts(
     cut = n // 2 + 1  # the elements x with 2x > n
     high = ubits >> cut << cut
     odd = _even_mask(n) << 1  # the odd numbers in [1, n]
-    width = n + 2
-    field = (1 << width) - 1
     joint, odd_joint = Counter(), Counter()  # keyed on (ell, 2k)
     try:
-        for upper, chosen, size, value in _prefixes(ubits, m, allow_equal, node_budget, _Memo(), width, cut):
+        for upper, chosen, size, count, _value in _prefixes(ubits, m, allow_equal, node_budget, _Memo(n + 2), cut):
             low = upper & ~high  # only one element short: each x in it completes a prefix of size m
             k2 = size * n - 2 * sum(iter_bits(chosen))  # 2k = sum (n - 2x)
             for x in iter_bits(low):
                 joint[m, k2 + n - 2 * x] += 1
                 odd_joint[m, k2 + n - 2 * x] += not (chosen | 1 << x) & ~odd
-            joint[size, k2] += (value >> width * (m - size) & field) - low.bit_count()
+            joint[size, k2] += count - low.bit_count()
             if not chosen & ~odd:
                 odd_joint[size, k2] += comb((upper & high & odd).bit_count(), m - size)
     except BudgetError as err:

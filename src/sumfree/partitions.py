@@ -136,9 +136,7 @@ def _distinct_rec(k: int, ell: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield rest + (a,)
 
 
-def sumset_size_profile(
-    k: int, ell: int, max_part: Optional[int] = None, budget: int = DEFAULT_BUDGET
-) -> Counter:
+def sumset_size_profile(k: int, ell: int, budget: int = DEFAULT_BUDGET) -> Counter:
     """Histogram {|S+S|: count} over all ell-element sets summing to k.
 
     One enumeration pass answers every sumset-cap query for this (k, ell):
@@ -150,7 +148,7 @@ def sumset_size_profile(
     if candidates > budget:
         raise over_budget(candidates, budget, "candidate sets")
     profile: Counter = Counter()
-    for parts in iter_distinct_sets(k, ell, max_part):
+    for parts in iter_distinct_sets(k, ell):
         profile[sumsetbits(bits_of(parts)).bit_count()] += 1
     return profile
 

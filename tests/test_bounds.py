@@ -3,7 +3,6 @@
 import math
 import random
 import re
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -21,6 +20,7 @@ from sumfree import (
     theorem_rhs,
 )
 from sumfree.bounds import BOUNDS
+from sumfree.verify import _janson_oracle_exact
 
 
 def test_logvalue_arithmetic():
@@ -42,6 +42,17 @@ def test_log_binom_exact_cross_check():
     assert log_binom(5, 7).is_zero
     assert log_binom(5, -1).is_zero
     assert log_binom(10, 0).log == 0.0
+
+
+def test_log_binom_is_exact_for_a_large_first_index():
+    # lgamma(a + 1) - lgamma(a - b + 1) cancelled: 2.5e-8 relative at a = 10^9, 1.8% at 10^15
+    for a in (10**6, 10**9, 10**12, 10**15):
+        for b in (3, 10, 1000):
+            assert log_binom(a, b).close(LogValue.of(comb(a, b))), (a, b)
+            assert log_binom(a, a - b).close(LogValue.of(comb(a, b))), (a, b)
+    for a, b in ((2**16, 2**15), (2**17, 2**16 + 3), (3 * 10**5, 10**5)):  # the smaller index past Stirling's cutoff
+        assert log_binom(a, b).close(LogValue.of(comb(a, b))), (a, b)
+    assert theorem_rhs("conj", N=1e300, m=2, delta=1).close(LogValue(1380.8579086158675))  # read ln 4
 
 
 def test_binom_inequality_examples():
@@ -117,19 +128,6 @@ def test_gamma_sum_grid():
     assert worst <= 2.0
 
 
-def exact_janson(family, ground, draw):
-    q = Fraction(draw, ground)
-    sets = [frozenset(u) for u in family]
-    mu = sum(q ** len(u) for u in sets)
-    delta = sum(
-        q ** len(u | w)
-        for i, u in enumerate(sets)
-        for j, w in enumerate(sets)
-        if i != j and u & w
-    )
-    return mu, delta
-
-
 def test_janson_examples():
     jq = janson_quantities([{1, 2}], 10, 5)
     assert math.isclose(jq.mu.value(), 0.25)
@@ -160,7 +158,7 @@ def test_janson_schur_pair_construction():
                 family.append({x, y})
     assert sorted(map(sorted, family)) == [[1, 3], [3, 5], [5, 7], [7, 9]]
     jq = janson_quantities(family, len(odds), 3)
-    mu_x, delta_x = exact_janson(family, len(odds), 3)
+    mu_x, delta_x = _janson_oracle_exact(family, len(odds), 3)
     assert jq.mu.close(LogValue.of(mu_x))
     assert jq.delta.close(LogValue.of(delta_x))
 
@@ -175,7 +173,7 @@ def test_janson_random_against_exact_oracle():
             for _ in range(rng.randint(1, 8))
         ]
         jq = janson_quantities(family, ground, draw)
-        mu_x, delta_x = exact_janson(family, ground, draw)
+        mu_x, delta_x = _janson_oracle_exact(family, ground, draw)
         assert jq.mu.close(LogValue.of(mu_x))
         assert jq.delta.close(LogValue.of(delta_x))
 
@@ -242,6 +240,23 @@ def test_conj_is_the_log_binomial_at_half_of_n():
                 half = cap_n / 2
                 expected = delta * m * math.log(2) + math.lgamma(half + 1) - math.lgamma(m + 1) - math.lgamma(half - m + 1)
                 assert math.isclose(rhs, expected, rel_tol=1e-12, abs_tol=1e-12), (cap_n, m, delta)
+
+
+def test_theorem_rhs_stays_finite_where_a_product_overflows():
+    # each of these read nan or inf, though every input is finite
+    huge = int(1e308)  # the float 1e308, exactly
+    assert theorem_rhs("conj", N=3, m=2, delta=1e308).is_zero  # C(1.5, 2) = 0 times 2^(2e308): not inf - inf
+    assert theorem_rhs("CEthm", n=100, m=60, C=1e308).is_zero  # C(50, 60) = 0
+    entropy = -(7 / 8 * math.log(7 / 8) + 1 / 8 * math.log(1 / 8))
+    for got, want in (
+        (theorem_rhs("S+S2", ell=5, lam=1e308, delta=1),
+         5 * (math.log(4 * huge - 3) - math.log(6) + 1) + 5 * math.log(2)),
+        (theorem_rhs("S+S", k=100, ell=2, c=1e308, delta=1),
+         2 * (math.log(2 * huge * 100) - math.log(3) + 1 - 2 * math.log(2)) + 2 * math.log(2)),
+        # ln C(a, pa) = a H(p) - ln(2 pi a p (1 - p)) / 2 + O(1/a), with a = 8e307 and p = 7/8: s ln x would overflow
+        (theorem_rhs("conj", N=1.6e308, m=7e307, delta=0), 8e307 * entropy),
+    ):
+        assert got.close(LogValue(want)), (got, want)
 
 
 VALID = dict(n=10, m=3, C=1.0, k=20, ell=4, c=2.0, delta=0.5, lam=2.0, N=20)

@@ -1,6 +1,7 @@
 """Command-line interface: records, formats, cache, @FILE arguments, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -464,10 +465,20 @@ def test_values_past_the_float_range_exit_2(capsys):
                  f"inequalities --kind gamma --a {huge} --gamma-b 1",
                  f"bounds --name CEthm --n {huge} --m 3 --bigc 1",
                  f"bounds --name parts --k 10 --ell {huge}",
-                 "bounds --name conj --cap 1e308 --m 3 --delta 1",
                  f"constant --n {huge} --m 3 --count 5"):
         code, out, err = run(argv.split(), capsys)
         assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error:"), (argv[:40], err)
+
+
+def test_bounds_at_the_float_range_are_exact(capsys):
+    # conj at N = 1e308 once exited 2 on lgamma(5e307) overflowing, at 1e300 it read ln 4; a zero C(N/2, m) with an
+    # overflowing 2^(delta m) read nan; 2^3 C(5e307, 3) is (1e308)^3 / 6 to within a factor 1 + 1e-307
+    for argv, want in (("bounds --name conj --cap 1e308 --m 3 --delta 1", 3 * math.log(1e308) - math.log(6)),
+                       ("bounds --name conj --cap 1e300 --m 2 --delta 1", 1380.8579086158675)):
+        code, out, _ = run(argv.split(), capsys)
+        assert code == 0 and math.isclose(json.loads(out)["result"]["log"], want, rel_tol=1e-9), (argv, out)
+    code, out, _ = run("smallsumset --n 5 --m 2 --cap 3 --delta 1e308".split(), capsys)
+    assert code == 0 and json.loads(out)["result"]["rhs_log"] == "-inf", out
 
 
 def test_trend_budget_reaches_strata_and_samples(capsys):

@@ -228,12 +228,12 @@ def test_memo_holds_no_entry_without_a_state(monkeypatch):
     memos, checked = [], []
     prefixes, scope = enumeration._prefixes, enumeration._Memo.scope
 
-    def spy(ubits, wanted, allow_equal, budget, memo, width):
-        memos.append((memo, width))
-        return prefixes(ubits, wanted, allow_equal, budget, memo, width)
+    def spy(ubits, wanted, allow_equal, budget, memo):
+        memos.append(memo)
+        return prefixes(ubits, wanted, allow_equal, budget, memo)
 
     def check_states(memo):
-        width = memos[-1][1]
+        width = memo.width
         for key in memo.states:
             allowed, rest = key & (1 << width) - 1, key >> width
             gaps, wanted = divmod(rest, width)
@@ -253,7 +253,7 @@ def test_memo_holds_no_entry_without_a_state(monkeypatch):
         for n in range(0, 33):
             for m in (None, n // 3, n // 2):
                 res = count_sum_free(n, m, allow_equal=allow_equal)
-                memo, _width = memos[-1]
+                memo = memos[-1]
                 check_states(memo)
                 assert sum(checked) == res.states, (allow_equal, n, m)
                 assert all(memo.diffs[allowed] == _differences(allowed) for allowed in memo.diffs), (allow_equal, n, m)
@@ -286,7 +286,7 @@ def test_upper_solver_counts_gap_avoiding_subsets():
         want = [sizes[j] for j in range(wanted + 1)]
         allowed = sum(1 << v for v in elements)
         for memo in (shared, {}):
-            value = _upper(allowed, sum(1 << g for g in gaps), wanted, memo, width)
+            value = _upper(allowed, sum(1 << g for g in gaps), wanted, memo, width, {})
             got = [value >> width * j & (1 << width) - 1 for j in range(wanted + 1)]
             assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, gaps, wanted)
 
@@ -327,7 +327,7 @@ def test_upper_closes_states_with_one_gap():
                     allowed = shape << lo
                     for wanted in range(3, k + 1):
                         memo = {}
-                        value = _upper(allowed, 1 << g, wanted, memo, width)
+                        value = _upper(allowed, 1 << g, wanted, memo, width, {})
                         want = [sizes[j] for j in range(wanted + 1)]
                         got = [value >> width * j & (1 << width) - 1 for j in range(wanted + 1)]
                         assert (got, value >> width * (wanted + 1)) == (want, 0), (elements, g, lo, wanted)
